@@ -255,6 +255,7 @@ def _cmd_curve(args) -> int:
 
 
 _CORPUS_INT_KEYS = ("graphs", "n_min", "n_max", "seed")
+_CONFIG_KEYS = ("corpus", "metrics", "scale_policy", "optimizer_iterations", "drs_force")
 
 
 def _experiment_config(args) -> exp.ExperimentConfig:
@@ -270,6 +271,9 @@ def _experiment_config(args) -> exp.ExperimentConfig:
             raise _InputError(f"{args.config}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise _InputError(f"{args.config}: config must be a JSON object")
+        unknown = set(data) - set(_CONFIG_KEYS)
+        if unknown:
+            raise _InputError(f"{args.config}: unknown config keys {sorted(unknown)}")
         corpus_data = data.get("corpus", {})
         if not isinstance(corpus_data, dict):
             raise _InputError(f"{args.config}: 'corpus' must be an object")

@@ -65,6 +65,9 @@ DEFAULT_EXPERIMENT_METRICS = ("rs", "kks", "ns", "sns", "sgs", "scs", "nms")
 # ---------------------------------------------------------------------------
 # corpus generation
 
+#: smallest graph corpus_graph builds (ring plus chords)
+MIN_CORPUS_VERTICES = 8
+
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -75,6 +78,17 @@ class CorpusSpec:
     n_max: int = 60
     density: float = 0.083
     seed: int = 97
+
+    def __post_init__(self) -> None:
+        # graphs <= 0 is left to run_experiment, which refuses an empty corpus
+        for key, valid, need in (
+            ("n_min", self.n_min >= MIN_CORPUS_VERTICES, f">= {MIN_CORPUS_VERTICES}"),
+            ("n_max", self.n_max >= self.n_min, f">= n_min ({self.n_min})"),
+            ("density", 0.0 < self.density <= 1.0, "in (0, 1]"),
+            ("seed", self.seed >= 0, ">= 0"),
+        ):
+            if not valid:
+                raise ValueError(f"corpus key {key!r} must be {need}, got {getattr(self, key)!r}")
 
 
 def corpus_graph(n: int, density: float, rng: np.random.Generator) -> Graph:
@@ -87,8 +101,8 @@ def corpus_graph(n: int, density: float, rng: np.random.Generator) -> Graph:
     2D) and makes the deterministic circle layout genuinely intermediate
     between the optimized and random layouts.
     """
-    if n < 8:
-        raise ValueError(f"need at least 8 vertices, got {n}")
+    if n < MIN_CORPUS_VERTICES:
+        raise ValueError(f"need at least {MIN_CORPUS_VERTICES} vertices, got {n}")
 
     def chord(span_lo: int, span_hi: int) -> tuple[int, int]:
         u = int(rng.integers(0, n))
@@ -629,20 +643,6 @@ def experiment_verdicts(result: ExperimentResult) -> tuple[Verdict, ...]:
 
 def _file_token(config: ExperimentConfig) -> str:
     return f"s{config.corpus.seed}_{config.scale_policy}"
-
-
-def write_runtime_table(result: BenchmarkResult, path: Path | str) -> Path:
-    """Runtime rows with slope annotation. Contains measurements, so unlike
-    the other tables it is not bit-identical across runs."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["n,metric,median_seconds,loglog_slope"]
-    for row in result.rows:
-        slope = result.slopes.get(row.metric_id)
-        slope_text = "" if slope is None else repr(slope)
-        lines.append(f"{row.n},{row.metric_id},{row.median_seconds!r},{slope_text}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 def write_tables(result: ExperimentResult, out_dir: Path | str) -> list[Path]:

@@ -1,9 +1,11 @@
 """2D drawings: representation, scaling, distances, and generators.
 
-The bundled optimizer is a deliberately small stochastic pairwise scheme:
-it stands in for an external stress-optimizing engine so the experiment
-harness has a hermetic "good" layout source. External layouts enter via
-the id,x,y CSV format.
+The bundled optimizer is stress majorization (SMACOF) on the d^-2-weighted
+raw stress, one dense Guttman transform per iteration: O(n^3) setup and
+O(n^2) memory, for the harness's graphs of tens of vertices. It stands in
+for an external stress-optimizing engine so the experiment harness has a
+hermetic "good" layout source. External layouts enter via the id,x,y CSV
+format.
 """
 
 from __future__ import annotations
@@ -117,14 +119,20 @@ def optimize_layout(
     seed: int = 0,
     iterations: int = 100,
 ) -> Layout:
-    """Improve a random initial drawing by stochastic pairwise relaxation.
+    """Improve a random initial drawing by stress majorization (SMACOF).
 
-    Each update picks a vertex pair and moves both endpoints toward their
-    target distance d_ij by a fraction of the exact correction. The fraction
-    anneals geometrically from 0.1 to 0.001 over the iterations; one
-    iteration performs 15*n pair updates. Pairs are sampled with probability
-    proportional to d_ij^-2, matching the weighting the stress metrics
-    apply. Deterministic for a fixed (graph, seed, iterations).
+    Starts from ``random_layout(n, seed)`` and minimizes the raw stress
+    sum_{i<j} d_ij^-2 (e_ij - d_ij)^2, the weighting the stress metrics
+    apply. One iteration is one Guttman transform
+
+        X <- L^+ (diag(C 1) X - C X),  C_ij = d_ij^-1 / e_ij  (0 where e_ij = 0),
+
+    where L is the Laplacian of the weights d_ij^-2 and L^+ its
+    pseudo-inverse; the stress never increases from one iteration to the
+    next (Gansner, Koren & North, GD 2004). Setup inverts an n x n matrix,
+    O(n^3), and every iteration holds a few n x n arrays, O(n^2) memory:
+    meant for harness-size graphs, not thousands of vertices.
+    Deterministic for a fixed (graph, seed, iterations).
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -133,40 +141,21 @@ def optimize_layout(
         raise ValueError(
             f"graph has {graph.vertex_count} vertices but distances are {n}x{n}"
         )
-    start = random_layout(n, seed)
-    pair_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-
-    iu, ju = np.triu_indices(n, 1)
-    weights = 1.0 / distances.d[iu, ju] ** 2
-    cumulative = np.cumsum(weights)
-    cumulative /= cumulative[-1]
-
-    xs = start.positions[:, 0].tolist()
-    ys = start.positions[:, 1].tolist()
-    target = distances.d.tolist()
-    i_list = iu.tolist()
-    j_list = ju.tolist()
-    updates = 15 * n
-    decay = (0.001 / 0.1) ** (1.0 / (iterations - 1)) if iterations > 1 else 1.0
-    step = 0.1
+    inv_d = np.divide(1.0, distances.d, out=np.zeros((n, n)), where=~np.eye(n, dtype=bool))
+    weights = inv_d * inv_d
+    laplacian = np.diag(weights.sum(axis=1)) - weights
+    # every pair has a weight, so L + J/n is nonsingular and its inverse
+    # minus J/n is the pseudo-inverse of L; inv avoids pinv's threaded SVD
+    mean = np.full((n, n), 1.0 / n)
+    laplacian_pinv = np.linalg.inv(laplacian + mean) - mean
+    x = random_layout(n, seed).positions
     for _ in range(iterations):
-        picks = np.searchsorted(cumulative, pair_rng.random(updates), side="right")
-        for p in picks.tolist():
-            a = i_list[p]
-            b = j_list[p]
-            dx = xs[a] - xs[b]
-            dy = ys[a] - ys[b]
-            r = math.sqrt(dx * dx + dy * dy)
-            if r < 1e-12:
-                # coincident pair: push apart along a fixed axis
-                dx, dy, r = 1.0, 0.0, 1.0
-            shift = step * (r - target[a][b]) * 0.5 / r
-            xs[a] -= shift * dx
-            ys[a] -= shift * dy
-            xs[b] += shift * dx
-            ys[b] += shift * dy
-        step *= decay
-    return Layout(np.column_stack([xs, ys]))
+        dx = x[:, 0, None] - x[None, :, 0]
+        dy = x[:, 1, None] - x[None, :, 1]
+        r = np.sqrt(dx * dx + dy * dy)
+        c = np.divide(inv_d, r, out=np.zeros((n, n)), where=r > 0)
+        x = laplacian_pinv @ (c.sum(axis=1)[:, None] * x - c @ x)
+    return Layout(x)
 
 
 LAYOUT_CSV_HEADER = "id,x,y"

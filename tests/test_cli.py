@@ -171,7 +171,7 @@ class TestBench:
 
 
 class TestExperimentCommand:
-    CONFIG = {"corpus": {"graphs": 4, "n_min": 12, "n_max": 20, "seed": 19}, "optimizer_iterations": 40}
+    CONFIG = {"corpus": {"graphs": 4, "n_min": 12, "n_max": 20, "seed": 19}, "optimizer_iterations": 1}
 
     def test_bit_identical_runs(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -279,6 +279,37 @@ class TestExperimentConfigErrors:
         code, err = self.run_config(tmp_path, capsys, {"corpus": {"graphs": 0}})
         assert code == 2
         assert "no graphs" in err
+
+    def test_unknown_top_level_key(self, tmp_path, capsys):
+        # a misspelt key must not silently run the default 300 iterations
+        code, err = self.run_config(tmp_path, capsys, {"optimiser_iterations": 0})
+        assert code == 2
+        assert "unknown config keys ['optimiser_iterations']" in err
+
+    @pytest.mark.parametrize(
+        "corpus, key",
+        [
+            ({"n_min": 30, "n_max": 20}, "'n_max'"),
+            ({"n_min": 5, "n_max": 20}, "'n_min'"),
+            ({"seed": -1}, "'seed'"),
+            ({"density": float("nan")}, "'density'"),
+            ({"density": 0.0}, "'density'"),
+            ({"density": 1.5}, "'density'"),
+        ],
+        ids=["n_min_above_n_max", "n_min_below_8", "negative_seed", "nan_density",
+             "zero_density", "density_above_1"],
+    )
+    def test_out_of_range_corpus_value_names_key(self, tmp_path, capsys, corpus, key):
+        code, err = self.run_config(tmp_path, capsys, {"corpus": corpus})
+        assert code == 2
+        assert err.startswith("input error:") and f"corpus key {key}" in err
+
+    def test_negative_seed_flag_names_key(self, tmp_path, capsys):
+        code = main(["experiment", "--seed", "-1", "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error:") and "corpus key 'seed'" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestUsageAndEnv:

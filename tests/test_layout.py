@@ -20,6 +20,8 @@ from layoutstress import (
     write_layout_csv,
 )
 
+from layoutstress.experiment import corpus_graph
+
 from conftest import complete_graph, gnp_connected, path_graph
 
 
@@ -190,6 +192,22 @@ class TestOptimizeLayout:
             s1 = scale_normalized_stress(pairwise_distances(final), d).stress_at_min
             improved += s1 < s0
         assert improved >= 0.95 * runs
+
+    def test_stress_never_increases(self):
+        # stress majorization guarantees a monotone raw stress; check it
+        # iteration by iteration against the d^-2-weighted definition
+        for k in range(10):
+            rng = np.random.default_rng(k)
+            g = corpus_graph(int(rng.integers(20, 61)), 0.083, rng)
+            distances = apsp(g)
+            d = distances.d
+            iu = np.triu_indices(g.vertex_count, 1)
+            stress = []
+            for iterations in range(1, 61):
+                e = pairwise_distances(optimize_layout(g, distances, k, iterations)).e
+                stress.append(float(np.sum((e[iu] - d[iu]) ** 2 / d[iu] ** 2)))
+            for before, after in zip(stress, stress[1:]):
+                assert after <= before * (1 + 1e-12)
 
 
 class TestLayoutCsv:
