@@ -291,33 +291,24 @@ def distance_ratio_stress(
     return total
 
 
-def _nonmetric_from_pairs(
-    ev: np.ndarray,
-    dv: np.ndarray,
-    iv: np.ndarray | None = None,
-    jv: np.ndarray | None = None,
-) -> float:
+def _nonmetric_from_pairs(ev: np.ndarray, dv: np.ndarray) -> float:
     if not np.any(ev):
         raise DegenerateLayoutError("all drawing distances are zero")
-    if iv is None:
-        iv = np.zeros_like(ev)
-    if jv is None:
-        jv = np.arange(ev.size)
-    order = np.lexsort((jv, iv, ev, dv))
-    fitted = isotonic_regression(ev[order]).fitted
-    resid = ev[order] - fitted
+    # order by d, ties by e; pairs tied on both are interchangeable
+    order = np.argsort(ev)
+    order = order[np.argsort(dv[order], kind="stable")]
+    y = ev[order]
+    resid = y - isotonic_regression(y).fitted
     return float(np.sqrt(np.sum(resid * resid) / np.sum(ev * ev)))
 
 
 def nonmetric_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
     """Kruskal stress-1 against monotone disparities, in [0, 1].
 
-    Pairs are sorted by d (ties by e, then by pair index); disparities are
-    the isotonic regression of the drawing distances in that order.
+    Pairs are sorted by d, ties by e; disparities are the isotonic
+    regression of the drawing distances in that order.
     """
-    ev, dv = _pair_vectors(e, d)
-    iu = np.triu_indices(e.n, 1)
-    return _nonmetric_from_pairs(ev, dv, iu[0], iu[1])
+    return _nonmetric_from_pairs(*_pair_vectors(e, d))
 
 
 def compute_metric(

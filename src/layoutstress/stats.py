@@ -29,14 +29,18 @@ class IsotonicFit:
 
 
 def average_ranks(values) -> RankedSeries:
-    """Assign 1-based ranks, averaging within groups of equal values."""
+    """Assign 1-based ranks, averaging within groups of equal values.
+
+    Equal values share their group's mean rank, so any sort order gives the
+    same ranks.
+    """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("values must be a non-empty 1D sequence")
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite")
     n = vals.size
-    order = np.argsort(vals, kind="stable")
+    order = np.argsort(vals)
     sorted_vals = vals[order]
     new_group = np.empty(n, dtype=bool)
     new_group[0] = True
@@ -79,39 +83,102 @@ def spearman(xs, ys) -> float:
 def isotonic_regression(ys, weights=None) -> IsotonicFit:
     """Weighted least-squares fit constrained to be non-decreasing.
 
-    Pool-adjacent-violators: exact optimum, linear in the input length.
+    Pool-adjacent-violators over runs: exact optimum. A violation can only
+    start where the input drops, so the input is taken as R maximal
+    non-decreasing runs, and each pooling step is one binary search along a
+    run's ascending tail: O(R log N) Python-level steps for N values, plus a
+    few numpy passes over the input.
     """
     y = np.asarray(ys, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("input must be a non-empty 1D sequence")
+    if not np.isfinite(y).all():
+        raise ValueError("input must be finite")
     if weights is None:
         w = np.ones_like(y)
+        wy = y
     else:
         w = np.asarray(weights, dtype=float)
         if w.shape != y.shape:
             raise ValueError("weights must match input length")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if np.any(w <= 0.0):
             raise ValueError("weights must be positive")
+        wy = w * y
 
-    # each block: (mean, weight, count); merge while the tail decreases
-    means: list[float] = []
-    block_w: list[float] = []
-    block_n: list[int] = []
-    for value, weight in zip(y.tolist(), w.tolist()):
-        mean, wsum, count = value, weight, 1
-        while means and means[-1] > mean:
-            pm, pw, pc = means.pop(), block_w.pop(), block_n.pop()
-            total = pw + wsum
-            mean = (pm * pw + mean * wsum) / total
-            wsum = total
-            count += pc
-        means.append(mean)
-        block_w.append(wsum)
-        block_n.append(count)
+    n = y.size
+    starts = np.concatenate(([True], y[1:] < y[:-1])).nonzero()[0]
+    run_starts = starts.tolist()
+    run_ends = run_starts[1:]
+    run_ends.append(n)
+    # prefix sums steer the pooling decisions only; the fitted means are
+    # summed from each block's own elements at the end
+    cw = np.concatenate(([0.0], w.cumsum())).item
+    cwy = np.concatenate(([0.0], wy.cumsum())).item
+    yv = y.item
 
-    fitted = np.empty_like(y)
-    pos = 0
-    for mean, count in zip(means, block_n):
-        fitted[pos : pos + count] = mean
-        pos += count
+    # entry (a, p, b, sw, swy): pooled block [a, p) of weight sw and weighted
+    # sum swy, then singletons [p, b) ascending from y[p] >= swy / sw. A run
+    # enters as its first element pooled. Against a violating entry below, it
+    # pools that entry's tail, or its block once the tail is gone; the mean
+    # rises, so its own tail may then pool. Along an ascending tail both
+    # absorption predicates are monotone, so each step is a binary search.
+    # The topmost finished entry is held apart from the stack, so that runs
+    # which pool it whole cost no list operations.
+    stack: list[tuple[int, int, int, float, float]] = []
+    top = None
+    for s, t, sw, swy in zip(run_starts, run_ends, w[starts].tolist(), wy[starts].tolist()):
+        a, p = s, s + 1
+        while top is not None:
+            ta, tp, tb, tsw, tswy = top
+            if tb > tp:
+                if yv(tb - 1) * sw <= swy:
+                    break
+                # y[j - 1] joins while it exceeds the mean of [j, p)
+                lo, hi = tp + 1, tb
+                base_w, base_wy = cw(tb) + sw, cwy(tb) + swy
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if yv(mid - 1) * (base_w - cw(mid)) > base_wy - cwy(mid):
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                a = lo - 1
+                sw, swy = base_w - cw(a), base_wy - cwy(a)
+                top = (ta, tp, a, tsw, tswy)
+            elif tswy * sw > swy * tsw:
+                a = ta
+                sw += tsw
+                swy += tswy
+                top = stack.pop() if stack else None
+            else:
+                break
+            if p < t and swy > sw * yv(p):
+                # y[k] joins while the mean of [a, k) exceeds it
+                lo, hi = p + 1, t
+                base_w, base_wy = cw(p) - sw, cwy(p) - swy
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if cwy(mid) - base_wy <= yv(mid) * (cw(mid) - base_w):
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                p = lo
+                sw, swy = cw(p) - base_w, cwy(p) - base_wy
+        if top is not None:
+            stack.append(top)
+        top = (a, p, t, sw, swy)
+    stack.append(top)
+
+    fitted = y.copy()
+    blocks = [(a, p) for a, p, _, _, _ in stack if p - a > 1]
+    if blocks:
+        # reduceat sums [a, p) at the even positions; a last p == n is implied
+        bounds = np.array(blocks).ravel()
+        if bounds[-1] == n:
+            bounds = bounds[:-1]
+        means = np.add.reduceat(wy, bounds)[::2] / np.add.reduceat(w, bounds)[::2]
+        for (a, p), mean in zip(blocks, means.tolist()):
+            fitted[a:p] = mean
     return IsotonicFit(fitted=fitted)

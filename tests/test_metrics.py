@@ -13,8 +13,10 @@ from layoutstress import (
     METRIC_IDS,
     SizeGuardError,
     apsp,
+    circle_layout,
     compute_metric,
     distance_ratio_stress,
+    isotonic_regression,
     kk_stress,
     metric_alpha_min,
     nonmetric_stress,
@@ -34,6 +36,7 @@ from layoutstress import (
     shepard_goodness,
     stress_curve,
 )
+from layoutstress.experiment import bench_graph
 from layoutstress.metrics import _nonmetric_from_pairs
 
 from conftest import (
@@ -411,6 +414,20 @@ class TestNonmetricStress:
         # stress sqrt(0.5 / 5)
         value = _nonmetric_from_pairs(np.array([2.0, 1.0]), np.array([1.0, 2.0]))
         assert value == pytest.approx(math.sqrt(0.5 / 5))
+
+    def test_tie_order_matches_pair_index_order(self):
+        # circle drawings tie many drawing distances within each graph
+        # distance; pairs tied on both are interchangeable, so ordering by
+        # (d, e) alone matches the (d, e, i, j) order
+        n = 300
+        d = apsp(bench_graph(n, np.random.default_rng(0)))
+        e = pairwise_distances(circle_layout(n))
+        i, j = np.triu_indices(n, 1)
+        ev, dv = e.e[i, j], d.d[i, j]
+        y = ev[np.lexsort((j, i, ev, dv))]
+        resid = y - isotonic_regression(y).fitted
+        expected = math.sqrt(np.sum(resid * resid) / np.sum(ev * ev))
+        assert abs(nonmetric_stress(e, d) - expected) <= 1e-12 * expected
 
     def test_bounded_unit_interval(self):
         rng = np.random.default_rng(18)

@@ -43,6 +43,19 @@ class TestAverageRanks:
         with pytest.raises(ValueError):
             average_ranks([])
 
+    def test_matches_scipy_rankdata_on_ties(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(3)
+        inputs = [
+            rng.integers(0, 5, size=1000),
+            rng.integers(-3, 3, size=57).astype(float) / 4.0,
+            np.round(rng.normal(size=5000), 1),
+            np.full(9, 2.5),
+        ]
+        for x in inputs:
+            ranks = average_ranks(x).ranks
+            assert np.array_equal(ranks, stats.rankdata(x, method="average"))
+
 
 class TestSpearman:
     def test_monotone(self):
@@ -117,6 +130,14 @@ class TestIsotonicRegression:
         with pytest.raises(ValueError):
             isotonic_regression([1, 2], weights=[1.0, 0.0])
 
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError):
+            isotonic_regression([3.0, np.nan, 1.0])
+
+    def test_non_finite_weight_rejected(self):
+        with pytest.raises(ValueError):
+            isotonic_regression([3.0, 2.0, 1.0], weights=[1.0, np.nan, 1.0])
+
     def test_fit_is_monotone_and_blockwise_mean(self):
         rng = np.random.default_rng(8)
         for _ in range(60):
@@ -164,3 +185,40 @@ class TestIsotonicRegression:
                     if np.all(np.diff(cand) >= 0):
                         obj = float(np.sum(w * (ys - cand) ** 2))
                         assert obj >= best - 1e-12
+
+    @pytest.mark.parametrize("runs", [1, 2, 12, 200])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_scipy_on_long_runs(self, runs, weighted):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(1000 * runs + weighted)
+        n = int(rng.integers(10_000, 100_001))
+        # runs of even length >= 2, each spanning [offset, offset + 1] and
+        # starting below where the one before it ends
+        cuts = 2 * np.sort(rng.choice(np.arange(1, n // 2), size=runs - 1, replace=False))
+        parts = []
+        offset = 0.0
+        for m in np.diff(np.concatenate(([0], cuts, [n]))):
+            part = offset + np.sort(rng.uniform(0.0, 1.0, size=m))
+            part[0], part[-1] = offset, offset + 1.0
+            parts.append(part)
+            offset += rng.uniform(-1.5, 0.9)
+        ys = np.concatenate(parts)
+        assert np.count_nonzero(ys[1:] < ys[:-1]) == runs - 1
+        w = rng.uniform(0.5, 3.0, size=n) if weighted else None
+        want = optimize.isotonic_regression(ys, weights=w).x
+        got = isotonic_regression(ys, w).fitted
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "ys",
+        [
+            np.arange(20_000, 0, -1.0),
+            np.full(20_000, 1.5),
+            np.concatenate((np.linspace(0.0, 1.0, 20_000), [-1000.0])),
+        ],
+        ids=["strictly-decreasing", "constant", "drop-at-end"],
+    )
+    def test_matches_scipy_edge_cases(self, ys):
+        optimize = pytest.importorskip("scipy.optimize")
+        got = isotonic_regression(ys).fitted
+        np.testing.assert_allclose(got, optimize.isotonic_regression(ys).x, rtol=0.0, atol=1e-9)
