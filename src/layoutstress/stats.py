@@ -80,14 +80,57 @@ def spearman(xs, ys) -> float:
     return min(1.0, max(-1.0, rho))
 
 
+# values pooled one at a time before a pooling search moves to numpy windows
+_SCALAR_POOL_STEPS = 16
+
+
+def _pool_run(y, w, wy, i, stop, sw, swy, above):
+    """Pool y[i], y[i + 1], ... (before stop) into a block of weight sw and
+    weighted sum swy while each one lies above the block's mean (``above``)
+    or below it (otherwise); return the first index not pooled and the
+    block's new sums.
+
+    The sums are accumulated outward from the block, one value after the
+    other, so their rounding is relative to the values pooled. Each value is
+    compared with the mean as it will be reported, swy / sw.
+    """
+    sign = 1.0 if above else -1.0
+    yv, wv, wyv = y.item, w.item, wy.item
+    for _ in range(_SCALAR_POOL_STEPS):
+        if i == stop or (yv(i) - swy / sw) * sign <= 0.0:
+            return i, sw, swy
+        sw += wv(i)
+        swy += wyv(i)
+        i += 1
+    # then windows of doubling length, so the numpy work stays linear in
+    # the number of values pooled
+    size = _SCALAR_POOL_STEPS
+    while i < stop:
+        size *= 2
+        j = min(i + size, stop)
+        # the block's sums just before each value of the window joins
+        bw = np.cumsum(np.concatenate(([sw], w[i : j - 1])))
+        bwy = np.cumsum(np.concatenate(([swy], wy[i : j - 1])))
+        stays = ((y[i:j] - bwy / bw) * sign <= 0.0).nonzero()[0]
+        if stays.size:
+            k = int(stays[0])
+            return i + k, bw.item(k), bwy.item(k)
+        sw, swy = bw.item(-1) + wv(j - 1), bwy.item(-1) + wyv(j - 1)
+        i = j
+    return i, sw, swy
+
+
 def isotonic_regression(ys, weights=None) -> IsotonicFit:
     """Weighted least-squares fit constrained to be non-decreasing.
 
-    Pool-adjacent-violators over runs: exact optimum. A violation can only
-    start where the input drops, so the input is taken as R maximal
-    non-decreasing runs, and each pooling step is one binary search along a
-    run's ascending tail: O(R log N) Python-level steps for N values, plus a
-    few numpy passes over the input.
+    Pool-adjacent-violators over runs: the optimum, up to the rounding of
+    each block's own sums. A violation can only start where the input
+    drops, so the input is taken as R maximal non-decreasing runs, and each
+    pooling step takes in a stretch of one run's ascending values at once.
+    The Python-level work therefore grows with the number of pooling steps
+    (R, or a few per run where pooling on one side of a block lets it pool
+    on the other), not with the input length; the numpy work is linear in
+    the values pooled.
     """
     y = np.asarray(ys, dtype=float)
     if y.ndim != 1 or y.size == 0:
@@ -112,73 +155,45 @@ def isotonic_regression(ys, weights=None) -> IsotonicFit:
     run_starts = starts.tolist()
     run_ends = run_starts[1:]
     run_ends.append(n)
-    # prefix sums steer the pooling decisions only; the fitted means are
-    # summed from each block's own elements at the end
-    cw = np.concatenate(([0.0], w.cumsum())).item
-    cwy = np.concatenate(([0.0], wy.cumsum())).item
-    yv = y.item
+    # the input right to left, for pooling leftward from a block
+    yr, wr, wyr = y[::-1], w[::-1], wy[::-1]
 
     # entry (a, p, b, sw, swy): pooled block [a, p) of weight sw and weighted
     # sum swy, then singletons [p, b) ascending from y[p] >= swy / sw. A run
     # enters as its first element pooled. Against a violating entry below, it
-    # pools that entry's tail, or its block once the tail is gone; the mean
-    # rises, so its own tail may then pool. Along an ascending tail both
-    # absorption predicates are monotone, so each step is a binary search.
-    # The topmost finished entry is held apart from the stack, so that runs
-    # which pool it whole cost no list operations.
+    # pools the values of that entry's tail above its mean, or the entry's
+    # block once the tail is gone; the mean rises, so the values of its own
+    # tail below the mean then join it.
+    yv = y.item
     stack: list[tuple[int, int, int, float, float]] = []
-    top = None
     for s, t, sw, swy in zip(run_starts, run_ends, w[starts].tolist(), wy[starts].tolist()):
         a, p = s, s + 1
-        while top is not None:
-            ta, tp, tb, tsw, tswy = top
+        while True:
+            # checked before any pooling too: with weights, swy / sw can
+            # round to above y[s], and so above y[p]
+            if p < t and yv(p) < swy / sw:
+                p, sw, swy = _pool_run(y, w, wy, p, t, sw, swy, above=False)
+            if not stack:
+                break
+            ta, tp, tb, tsw, tswy = stack[-1]
             if tb > tp:
-                if yv(tb - 1) * sw <= swy:
+                if yv(tb - 1) <= swy / sw:
                     break
-                # y[j - 1] joins while it exceeds the mean of [j, p)
-                lo, hi = tp + 1, tb
-                base_w, base_wy = cw(tb) + sw, cwy(tb) + swy
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if yv(mid - 1) * (base_w - cw(mid)) > base_wy - cwy(mid):
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                a = lo - 1
-                sw, swy = base_w - cw(a), base_wy - cwy(a)
-                top = (ta, tp, a, tsw, tswy)
-            elif tswy * sw > swy * tsw:
+                r, sw, swy = _pool_run(yr, wr, wyr, n - tb, n - tp, sw, swy, above=True)
+                a = n - r
+                stack[-1] = (ta, tp, a, tsw, tswy)
+            elif tswy / tsw > swy / sw:
                 a = ta
                 sw += tsw
                 swy += tswy
-                top = stack.pop() if stack else None
+                stack.pop()
             else:
                 break
-            if p < t and swy > sw * yv(p):
-                # y[k] joins while the mean of [a, k) exceeds it
-                lo, hi = p + 1, t
-                base_w, base_wy = cw(p) - sw, cwy(p) - swy
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if cwy(mid) - base_wy <= yv(mid) * (cw(mid) - base_w):
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                p = lo
-                sw, swy = cw(p) - base_w, cwy(p) - base_wy
-        if top is not None:
-            stack.append(top)
-        top = (a, p, t, sw, swy)
-    stack.append(top)
+        stack.append((a, p, t, sw, swy))
 
+    # every decision above compared the means as reported here, so the fit
+    # is non-decreasing exactly
     fitted = y.copy()
-    blocks = [(a, p) for a, p, _, _, _ in stack if p - a > 1]
-    if blocks:
-        # reduceat sums [a, p) at the even positions; a last p == n is implied
-        bounds = np.array(blocks).ravel()
-        if bounds[-1] == n:
-            bounds = bounds[:-1]
-        means = np.add.reduceat(wy, bounds)[::2] / np.add.reduceat(w, bounds)[::2]
-        for (a, p), mean in zip(blocks, means.tolist()):
-            fitted[a:p] = mean
+    for a, p, _, sw, swy in stack:
+        fitted[a:p] = swy / sw
     return IsotonicFit(fitted=fitted)

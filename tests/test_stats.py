@@ -186,6 +186,43 @@ class TestIsotonicRegression:
                         obj = float(np.sum(w * (ys - cand) ** 2))
                         assert obj >= best - 1e-12
 
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [
+            (None, [-1e17, 5.0, 5.0, 5.0, 5.0, 5.0, 10.0]),
+            ([1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0], [-1e17] + [37.0 / 8.0] * 5 + [10.0]),
+        ],
+        ids=["unweighted", "weighted"],
+    )
+    def test_huge_earlier_value_does_not_steer_pooling(self, weights, expected):
+        # doubles near 1e17 are 16 apart, so sums that start at the first
+        # value cannot tell 5, 6, 7, 3 and 4 apart
+        fit = isotonic_regression([-1e17, 5.0, 6.0, 7.0, 3.0, 4.0, 10.0], weights).fitted
+        np.testing.assert_array_equal(fit, expected)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_huge_first_value_leaves_long_runs_alone(self, weighted):
+        rng = np.random.default_rng(12)
+        rest = np.concatenate(
+            (np.linspace(5.0, 7.0, 300), np.sort(rng.uniform(3.0, 8.0, 300)), [4.0, 10.0])
+        )
+        w = rng.uniform(0.5, 3.0, size=rest.size + 1) if weighted else None
+        fit = isotonic_regression(np.concatenate(([-1e17], rest)), w).fitted
+        assert fit[0] == -1e17
+        rest_fit = isotonic_regression(rest, None if w is None else w[1:]).fitted
+        np.testing.assert_allclose(fit[1:], rest_fit, rtol=1e-12, atol=0.0)
+
+    def test_fit_is_exactly_monotone_on_ties(self):
+        # (0.7 * (3 / 7)) / 0.7 rounds to one step above 3 / 7
+        fit = isotonic_regression([3 / 7, 3 / 7], weights=[0.7, 1.0]).fitted
+        assert fit[1] >= fit[0]
+        rng = np.random.default_rng(4)
+        for _ in range(2000):
+            n = int(rng.integers(2, 100))
+            ys = np.round(rng.normal(size=n) * 3.0) / 7.0
+            for weights in (None, rng.uniform(0.1, 5.0, size=n)):
+                assert np.all(np.diff(isotonic_regression(ys, weights).fitted) >= 0.0)
+
     @pytest.mark.parametrize("runs", [1, 2, 12, 200])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_matches_scipy_on_long_runs(self, runs, weighted):
