@@ -80,7 +80,8 @@ def spearman(xs, ys) -> float:
     return min(1.0, max(-1.0, rho))
 
 
-# values pooled one at a time before a pooling search moves to numpy windows
+# values pooled one at a time before a pooling search moves to numpy windows;
+# most pools are short, and numpy's per-call cost outweighs a short pool
 _SCALAR_POOL_STEPS = 16
 
 
