@@ -70,13 +70,22 @@ class LayoutDistances:
 
 
 def pairwise_distances(layout: Layout) -> LayoutDistances:
-    """Euclidean distance between every vertex pair."""
+    """Euclidean distance between every vertex pair.
+
+    Computes sqrt(dx^2 + dy^2) in place, so at most two n x n float arrays
+    are alive at once: dx and dy, then the result and the copy that
+    LayoutDistances keeps.
+    """
     if layout.n < 2:
         raise ValueError(f"need at least 2 vertices, got {layout.n}")
-    p = layout.positions
-    diff = p[:, None, :] - p[None, :, :]
-    e = np.sqrt(np.sum(diff * diff, axis=-1))
-    np.fill_diagonal(e, 0.0)
+    x, y = layout.positions.T
+    e = x[:, None] - x
+    dy = y[:, None] - y
+    e *= e
+    dy *= dy
+    e += dy
+    del dy
+    np.sqrt(e, out=e)
     return LayoutDistances(e)
 
 

@@ -87,15 +87,18 @@ class KKParams:
 
 
 @lru_cache(maxsize=128)
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, 1)
+def _triu(n: int) -> np.ndarray:
+    """Read-only mask of the pairs i<j; indexing with it keeps row-major order."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.setflags(write=False)
+    return mask
 
 
 def _pair_vectors(e: LayoutDistances, d: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
     if e.n != d.n:
         raise ValueError(f"layout has {e.n} vertices but distance matrix has {d.n}")
-    iu = _triu(e.n)
-    return e.e[iu], d.d[iu]
+    mask = _triu(e.n)
+    return e.e[mask], d.d[mask]
 
 
 def raw_stress(e: LayoutDistances, d: DistanceMatrix) -> float:

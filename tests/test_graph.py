@@ -7,6 +7,7 @@ import pytest
 
 from layoutstress import (
     DisconnectedGraphError,
+    DistanceMatrix,
     Graph,
     ParseError,
     apsp,
@@ -43,6 +44,14 @@ class TestGraphType:
         assert g.adjacency[3] == (1,)
         assert g.has_edge(3, 1) and g.has_edge(1, 3)
         assert not g.has_edge(0, 3)
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("off", [0.0, -1.0])
+    def test_rejects_non_positive_off_diagonal(self, off):
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, off], [2.0, off, 0.0]])
+        with pytest.raises(ValueError, match="off-diagonal distances must be positive"):
+            DistanceMatrix(d)
 
 
 class TestParseEdgeList:
@@ -162,6 +171,14 @@ class TestLargestComponent:
         assert flat == list(range(7))
 
 
+def _assert_disconnected(g: Graph, missing: int) -> None:
+    with pytest.raises(DisconnectedGraphError) as excinfo:
+        apsp(g)
+    assert str(excinfo.value) == (
+        f"graph is disconnected: no path between vertices 0 and {missing}"
+    )
+
+
 class TestApsp:
     def test_path3(self, p3):
         assert p3["d"].d.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
@@ -211,8 +228,8 @@ class TestApsp:
                 g = Graph.from_edges(n, edges)
                 fw = floyd_warshall(g)
                 if np.isinf(fw).any():
-                    with pytest.raises(DisconnectedGraphError):
-                        apsp(g)
+                    outside = set(range(n)) - set(connected_components(g)[0])
+                    _assert_disconnected(g, min(outside))
                 else:
                     assert np.array_equal(apsp(g).d, fw)
 
@@ -222,3 +239,42 @@ class TestApsp:
             n = int(rng.integers(6, 9))
             g = gnp_connected(n, 0.4, rng)
             assert np.array_equal(apsp(g).d, floyd_warshall(g))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+    def test_matches_floyd_warshall_at_word_boundaries(self, n):
+        # one bit per source, 64 sources to a word: sizes on either side
+        # of one and two full words
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            # a random tree, each vertex hung from an earlier one, plus n/2
+            # random chords: sparse, connected, and several levels deep
+            tree = [(int(rng.integers(k)), k) for k in range(1, n)]
+            chords = [tuple(map(int, rng.choice(n, 2, replace=False))) for _ in range(n // 2)]
+            g = Graph.from_edges(n, tree + chords)
+            assert np.array_equal(apsp(g).d, floyd_warshall(g))
+
+    @pytest.mark.parametrize(
+        "g",
+        [path_graph(129), Graph.from_edges(70, [(0, k) for k in range(1, 70)]), complete_graph(70)],
+        ids=["path129", "star70", "k70"],
+    )
+    def test_matches_floyd_warshall_extreme_shapes(self, g):
+        # 128 levels; two levels from every leaf; one level
+        assert np.array_equal(apsp(g).d, floyd_warshall(g))
+
+    def test_isolated_vertex_zero(self):
+        _assert_disconnected(Graph.from_edges(4, [(1, 2), (2, 3)]), 1)
+
+    def test_isolated_last_vertex_in_second_word(self):
+        _assert_disconnected(Graph(65, path_graph(64).edges), 64)
+
+    def test_two_vertices_no_edge(self):
+        _assert_disconnected(Graph(2, ()), 1)
+
+    def test_components_straddling_a_word(self):
+        # 0..39 and 40..99: the second component spans words 0 and 1
+        edges = [(i, i + 1) for i in range(39)] + [(i, i + 1) for i in range(40, 99)]
+        _assert_disconnected(Graph.from_edges(100, edges), 40)
+        # the component of 0 spans both words, vertex 70 sits alone
+        edges = [(i, i + 1) for i in range(69)] + [(69, 71), (71, 72)]
+        _assert_disconnected(Graph.from_edges(73, edges), 70)

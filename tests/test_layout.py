@@ -62,6 +62,21 @@ class TestPairwiseDistances:
         with pytest.raises(ValueError):
             pairwise_distances(Layout(np.zeros((1, 2))))
 
+    @pytest.mark.parametrize("kind", ["random", "circle", "wide"])
+    def test_bit_equal_to_difference_tensor(self, kind):
+        rng = np.random.default_rng(5)
+        if kind == "random":
+            pts = random_layout(300, 9).positions
+        elif kind == "circle":
+            pts = circle_layout(257).positions
+        else:
+            signs = rng.choice([-1.0, 1.0], size=(200, 2))
+            pts = signs * 10.0 ** rng.uniform(-100, 100, size=(200, 2))
+        diff = pts[:, None, :] - pts[None, :, :]
+        e = pairwise_distances(Layout(pts)).e
+        assert np.array_equal(e, np.sqrt(np.sum(diff * diff, axis=-1)))
+        assert np.array_equal(e, e.T)
+
 
 class TestScaling:
     def test_identity(self):

@@ -8,6 +8,7 @@ import pytest
 from layoutstress import (
     ConstantSeriesError,
     DegenerateLayoutError,
+    DistanceMatrix,
     KKParams,
     Layout,
     METRIC_IDS,
@@ -37,7 +38,7 @@ from layoutstress import (
     stress_curve,
 )
 from layoutstress.experiment import bench_graph
-from layoutstress.metrics import _nonmetric_from_pairs
+from layoutstress.metrics import _nonmetric_from_pairs, _pair_vectors
 
 from conftest import (
     as_layout_distances,
@@ -53,6 +54,18 @@ ALPHAS = (1e-2, 0.5, 2.0, 1e3)
 
 def _rel_close(a, b, tol):
     return abs(a - b) <= tol * (1.0 + abs(a))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 300])
+def test_pair_vectors_match_triu_indices(n):
+    rng = np.random.default_rng(n)
+    e = pairwise_distances(random_layout(n, n))
+    # distinct distances, so a pair out of order cannot go unseen
+    upper = np.triu(rng.uniform(1.0, 5.0, size=(n, n)), 1)
+    d = DistanceMatrix(upper + upper.T)
+    iu = np.triu_indices(n, 1)
+    ev, dv = _pair_vectors(e, d)
+    assert np.array_equal(ev, e.e[iu]) and np.array_equal(dv, d.d[iu])
 
 
 class TestRawStress:
