@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,14 +26,7 @@ from . import experiment as exp
 from .errors import ParseError
 from .graph import Graph, apsp, largest_connected_component, parse_edge_list, parse_matrix_market
 from .layout import Layout, pairwise_distances, read_layout_csv
-from .metrics import (
-    DRS_MAX_VERTICES,
-    METRIC_IDS,
-    KKParams,
-    compute_metric,
-    metric_alpha_min,
-    stress_curve,
-)
+from .metrics import METRIC_IDS, KKParams, score_layout, stress_curve
 
 OUT_DIR_ENV = "LAYOUTSTRESS_OUT_DIR"
 
@@ -165,34 +157,28 @@ def _cmd_compute(args) -> int:
     graph, graph_info = _load_graph(args.graph)
     metric_ids = _parse_metric_list(args.metrics)
     kk_params = KKParams(args.l0) if args.l0 is not None else None
-    d = apsp(graph)
     layouts = {}
     for layout_path in args.layouts:
         name = Path(layout_path).stem
+        if name in layouts:
+            raise _InputError(
+                f"layout files {layouts[name][0]} and {layout_path} share the name {name!r};"
+                " the report keys layouts by file stem"
+            )
         layouts[name] = (layout_path, _load_layout(layout_path, graph))
+    d = apsp(graph)
 
     report_layouts = {}
     for name, (layout_path, layout) in layouts.items():
         e = pairwise_distances(layout)
-        metrics_out = {}
-        skipped = []
-        for metric_id in metric_ids:
-            if metric_id == "drs" and graph.vertex_count > DRS_MAX_VERTICES and not args.force:
-                skipped.append(metric_id)
-                continue
-            t0 = time.perf_counter()
-            value = compute_metric(metric_id, e, d, kk_params=kk_params, force=args.force)
-            seconds = time.perf_counter() - t0
-            alpha = metric_alpha_min(metric_id, e, d)
-            metrics_out[metric_id] = {
-                "value": value,
-                "alpha_min": alpha,
-                "seconds": seconds,
-            }
+        scores, skipped = score_layout(e, d, metric_ids, kk_params=kk_params, force=args.force)
         report_layouts[name] = {
             "path": layout_path,
             "max_drawing_distance": e.max_distance,
-            "metrics": metrics_out,
+            "metrics": {
+                metric_id: {"value": value, "alpha_min": alpha, "seconds": seconds}
+                for metric_id, (value, alpha, seconds) in scores.items()
+            },
             "skipped": skipped,
         }
 

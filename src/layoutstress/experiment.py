@@ -17,7 +17,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,19 +32,14 @@ from .graph import (
 )
 from .layout import (
     Layout,
+    LayoutDistances,
     circle_layout,
     optimize_layout,
     pairwise_distances,
     random_layout,
     scale_to_max_distance,
 )
-from .metrics import (
-    DRS_MAX_VERTICES,
-    HIGHER_IS_BETTER,
-    METRIC_IDS,
-    compute_metric,
-    metric_alpha_min,
-)
+from .metrics import HIGHER_IS_BETTER, METRIC_IDS, compute_metric, score_layout
 from .errors import SizeGuardError
 from .stats import average_ranks, spearman
 
@@ -197,7 +192,6 @@ class SourceResult:
 
     scores: dict[str, float]
     alpha_min: dict[str, float]
-    seconds: dict[str, float]
     max_distance: float
     skipped: tuple[str, ...] = ()
 
@@ -211,7 +205,7 @@ class TrialRecord:
 
 def run_trial(
     graph_id: str,
-    graph: Graph,
+    d: DistanceMatrix,
     layouts: dict[str, Layout],
     metric_ids=DEFAULT_EXPERIMENT_METRICS,
     policy: str = "as-is",
@@ -220,50 +214,27 @@ def run_trial(
 ) -> TrialRecord:
     """Score every requested metric on every layout of one graph.
 
-    The scale policy is applied first, so all metrics see identical inputs.
-    Wall time is measured per metric evaluation. drs is skipped (and
-    flagged) when the graph exceeds its size guard and force is not set.
+    d is the graph's shortest-path distance matrix. The scale policy is
+    applied first, so all metrics see identical inputs. drs is skipped
+    (and flagged) when the graph exceeds its size guard and force is not set.
     """
     for name, layout in layouts.items():
-        if layout.n != graph.vertex_count:
-            raise ValueError(
-                f"layout {name!r} has {layout.n} vertices, graph has {graph.vertex_count}"
-            )
+        if layout.n != d.n:
+            raise ValueError(f"layout {name!r} has {layout.n} vertices, graph has {d.n}")
     for metric_id in metric_ids:
         if metric_id not in METRIC_IDS:
             raise ValueError(f"unknown metric id {metric_id!r}")
-    d = apsp(graph)
-    scaled = apply_scale_policy(layouts, policy)
     sources: dict[str, SourceResult] = {}
-    for name, layout in scaled.items():
+    for name, layout in apply_scale_policy(layouts, policy).items():
         e = pairwise_distances(layout)
-        scores: dict[str, float] = {}
-        alphas: dict[str, float] = {}
-        seconds: dict[str, float] = {}
-        skipped: list[str] = []
-        for metric_id in metric_ids:
-            if (
-                metric_id == "drs"
-                and graph.vertex_count > DRS_MAX_VERTICES
-                and not drs_force
-            ):
-                skipped.append(metric_id)
-                continue
-            t0 = time.perf_counter()
-            value = compute_metric(metric_id, e, d, force=drs_force)
-            seconds[metric_id] = time.perf_counter() - t0
-            scores[metric_id] = value
-            alpha = metric_alpha_min(metric_id, e, d)
-            if alpha is not None:
-                alphas[metric_id] = alpha
+        scores, skipped = score_layout(e, d, metric_ids, force=drs_force)
         sources[name] = SourceResult(
-            scores=scores,
-            alpha_min=alphas,
-            seconds=seconds,
+            scores={m: value for m, (value, _, _) in scores.items()},
+            alpha_min={m: alpha for m, (_, alpha, _) in scores.items() if alpha is not None},
             max_distance=e.max_distance,
-            skipped=tuple(skipped),
+            skipped=skipped,
         )
-    return TrialRecord(graph_id=graph_id, vertex_count=graph.vertex_count, sources=sources)
+    return TrialRecord(graph_id=graph_id, vertex_count=d.n, sources=sources)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +407,10 @@ def runtime_benchmark(
 ) -> BenchmarkResult:
     """Median metric runtimes over graph sizes, plus log-log slopes.
 
-    One warm-up evaluation per (size, metric) is discarded. drs is refused
-    above BENCH_DRS_MAX_VERTICES unless force is set.
+    One warm-up evaluation per (size, metric) is discarded. Every timed
+    evaluation gets distance objects built outside the timed region whose
+    pair vectors are not yet cached, so it pays its own pair extraction.
+    drs is refused above BENCH_DRS_MAX_VERTICES unless force is set.
     """
     sizes = [int(n) for n in sizes]
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
@@ -463,8 +436,9 @@ def runtime_benchmark(
             compute_metric(metric_id, e, d, force=True)  # warm-up, discarded
             samples = []
             for _ in range(repetitions):
+                fresh_e, fresh_d = LayoutDistances(e.e), DistanceMatrix(d.d)
                 t0 = time.perf_counter()
-                compute_metric(metric_id, e, d, force=True)
+                compute_metric(metric_id, fresh_e, fresh_d, force=True)
                 samples.append(time.perf_counter() - t0)
             med = statistics.median(samples)
             rows.append(BenchRow(n=n, metric_id=metric_id, median_seconds=med))
@@ -542,7 +516,7 @@ def run_experiment(config: ExperimentConfig = ExperimentConfig()) -> ExperimentR
             records.append(
                 run_trial(
                     graph_id,
-                    graph,
+                    d,
                     layouts,
                     config.metric_ids,
                     config.scale_policy,
@@ -556,24 +530,15 @@ def run_experiment(config: ExperimentConfig = ExperimentConfig()) -> ExperimentR
             raise ValueError("the corpus holds no graphs")
         graph_id, message = failures[0]
         raise ValueError(f"every trial failed; first failure: {graph_id}: {message}")
-    order_table = order_frequencies(records)
-    correlation_table = metric_correlations(records)
     result = ExperimentResult(
         config=config,
         records=tuple(records),
         failures=tuple(failures),
-        order_table=order_table,
-        correlation_table=correlation_table,
+        order_table=order_frequencies(records),
+        correlation_table=metric_correlations(records),
         verdicts=(),
     )
-    return ExperimentResult(
-        config=config,
-        records=result.records,
-        failures=result.failures,
-        order_table=order_table,
-        correlation_table=correlation_table,
-        verdicts=experiment_verdicts(result),
-    )
+    return replace(result, verdicts=experiment_verdicts(result))
 
 
 def experiment_verdicts(result: ExperimentResult) -> tuple[Verdict, ...]:

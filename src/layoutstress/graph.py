@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class Graph:
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        seen: set[tuple[int, int]] = set()
+        previous = (-1, -1)
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -38,9 +38,11 @@ class Graph:
                     f"edge ({u}, {v}) invalid for {self.vertex_count} vertices"
                     " (endpoints must satisfy 0 <= u < v < vertex_count)"
                 )
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+            if (u, v) <= previous:
+                if (u, v) == previous:
+                    raise ValueError(f"duplicate edge ({u}, {v})")
+                raise ValueError(f"edges must be sorted: ({u}, {v}) follows {previous}")
+            previous = (u, v)
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges) -> Graph:
@@ -78,6 +80,23 @@ class Graph:
         return (u, v) in self._edge_set
 
 
+@lru_cache(maxsize=128)
+def _triu(n: int) -> np.ndarray:
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.setflags(write=False)
+    return mask
+
+
+def upper_pairs(m: np.ndarray) -> np.ndarray:
+    """Read-only vector of m[i, j] over the pairs i<j in row-major order.
+
+    This is the one place the pair order of every metric is defined.
+    """
+    pairs = m[_triu(m.shape[0])]
+    pairs.setflags(write=False)
+    return pairs
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Symmetric matrix of positive pairwise distances, zero diagonal."""
@@ -108,6 +127,12 @@ class DistanceMatrix:
     @property
     def max_distance(self) -> float:
         return float(self.d.max())
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """Read-only d_ij over i<j in upper_pairs order, cached for the object's
+        lifetime: one C(n, 2) float64 vector, 16 MB at n = 2000."""
+        return upper_pairs(self.d)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateLayoutError, ParseError
-from .graph import DistanceMatrix, Graph
+from .graph import DistanceMatrix, Graph, upper_pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +68,12 @@ class LayoutDistances:
     @property
     def max_distance(self) -> float:
         return float(self.e.max())
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """Read-only e_ij over i<j in upper_pairs order, cached for the object's
+        lifetime: one C(n, 2) float64 vector, 16 MB at n = 2000."""
+        return upper_pairs(self.e)
 
 
 def pairwise_distances(layout: Layout) -> LayoutDistances:

@@ -18,15 +18,18 @@ rs and ns are quadratic polynomials in a uniform scale factor alpha, which
 gives closed forms for the optimal scale (alpha_min) and for the scale at
 which two drawings' curves cross (alpha_intersection).
 
-All sums run over unordered pairs i<j in row-major order; numpy's pairwise
-accumulation bounds floating-point drift.
+All sums run over unordered pairs i<j in the row-major order of
+graph.upper_pairs; numpy's pairwise accumulation bounds floating-point
+drift. DistanceMatrix.pairs and LayoutDistances.pairs keep that vector for
+the object's lifetime (one C(n, 2) float64 vector, 16 MB at n = 2000), so
+the metrics of one drawing, and the drawings of one graph, share it.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,8 +60,9 @@ class QuadraticStressForm:
 
     @property
     def alpha_min(self) -> float:
+        """-b / 2a; a, a sum of squared drawing distances, is 0 when all points coincide."""
         if self.a <= 0.0:
-            raise DegenerateLayoutError("quadratic has no interior minimum (a <= 0)")
+            raise DegenerateLayoutError("all points coincide; optimal scale is undefined")
         return -self.b / (2.0 * self.a)
 
 
@@ -86,19 +90,10 @@ class KKParams:
             raise ValueError(f"l0 must be a positive finite real, got {self.l0}")
 
 
-@lru_cache(maxsize=128)
-def _triu(n: int) -> np.ndarray:
-    """Read-only mask of the pairs i<j; indexing with it keeps row-major order."""
-    mask = np.triu(np.ones((n, n), dtype=bool), 1)
-    mask.setflags(write=False)
-    return mask
-
-
 def _pair_vectors(e: LayoutDistances, d: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
     if e.n != d.n:
         raise ValueError(f"layout has {e.n} vertices but distance matrix has {d.n}")
-    mask = _triu(e.n)
-    return e.e[mask], d.d[mask]
+    return e.pairs, d.pairs
 
 
 def raw_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
@@ -120,11 +115,7 @@ def raw_stress_quadratic(e: LayoutDistances, d: DistanceMatrix) -> QuadraticStre
 
 def rs_alpha_min(e: LayoutDistances, d: DistanceMatrix) -> float:
     """Scale factor minimizing raw stress: sum(e*d) / sum(e^2)."""
-    ev, dv = _pair_vectors(e, d)
-    den = float(np.sum(ev * ev))
-    if den == 0.0:
-        raise DegenerateLayoutError("all points coincide; optimal scale is undefined")
-    return float(np.sum(ev * dv)) / den
+    return raw_stress_quadratic(e, d).alpha_min
 
 
 def rs_alpha_intersection(
@@ -189,12 +180,7 @@ def ns_quadratic(e: LayoutDistances, d: DistanceMatrix) -> QuadraticStressForm:
 
 def ns_alpha_min(e: LayoutDistances, d: DistanceMatrix) -> float:
     """Scale factor minimizing normalized stress: sum(e/d) / sum(e^2/d^2)."""
-    ev, dv = _pair_vectors(e, d)
-    ratio = ev / dv
-    den = float(np.sum(ratio * ratio))
-    if den == 0.0:
-        raise DegenerateLayoutError("all points coincide; optimal scale is undefined")
-    return float(np.sum(ratio)) / den
+    return ns_quadratic(e, d).alpha_min
 
 
 def ns_alpha_intersection(
@@ -221,18 +207,11 @@ def scale_normalized_stress(e: LayoutDistances, d: DistanceMatrix) -> ScaleAnaly
 
     Costs O(n^2), the same as a single normalized-stress evaluation.
     """
-    ev, dv = _pair_vectors(e, d)
-    ratio = ev / dv
-    den = float(np.sum(ratio * ratio))
-    if den == 0.0:
-        raise DegenerateLayoutError("all points coincide; optimal scale is undefined")
-    num = float(np.sum(ratio))
-    n = e.n
-    c = n * (n - 1) / 2.0
-    alpha = num / den
-    # c - num^2/den is mathematically >= 0; clamp fp wobble at perfection
-    value = max(c - num * num / den, 0.0)
-    quad = QuadraticStressForm(a=den, b=-2.0 * num, c=c)
+    quad = ns_quadratic(e, d)
+    alpha = quad.alpha_min
+    num = quad.b / -2.0  # exactly sum(e/d): b is -2 times it
+    # c - num^2/a is mathematically >= 0; clamp fp wobble at perfection
+    value = max(quad.c - num * num / quad.a, 0.0)
     return ScaleAnalysis(alpha_min=alpha, stress_at_min=value, quadratic=quad)
 
 
@@ -349,6 +328,32 @@ def metric_alpha_min(metric_id: str, e: LayoutDistances, d: DistanceMatrix) -> f
     if metric_id in ("ns", "sns"):
         return ns_alpha_min(e, d)
     return None
+
+
+def score_layout(
+    e: LayoutDistances,
+    d: DistanceMatrix,
+    metric_ids,
+    *,
+    kk_params: KKParams | None = None,
+    force: bool = False,
+) -> tuple[dict[str, tuple[float, float | None, float]], tuple[str, ...]]:
+    """Score one drawing: {metric_id: (value, alpha_min, seconds)}, skipped ids.
+
+    seconds times the metric alone. drs is skipped when the drawing has
+    more than DRS_MAX_VERTICES vertices and force is not set.
+    """
+    scores: dict[str, tuple[float, float | None, float]] = {}
+    skipped: list[str] = []
+    for metric_id in metric_ids:
+        if metric_id == "drs" and e.n > DRS_MAX_VERTICES and not force:
+            skipped.append(metric_id)
+            continue
+        t0 = time.perf_counter()
+        value = compute_metric(metric_id, e, d, kk_params=kk_params, force=force)
+        seconds = time.perf_counter() - t0
+        scores[metric_id] = (value, metric_alpha_min(metric_id, e, d), seconds)
+    return scores, tuple(skipped)
 
 
 def stress_curve(

@@ -62,6 +62,27 @@ class TestCompute:
         graph, perfect, _ = p3_files
         assert main(["compute", str(graph), str(perfect), "--metrics", "nope"]) == 1
 
+    def test_duplicate_layout_stem_exits_2(self, p3_files, tmp_path, capsys):
+        graph, perfect, doubled = p3_files
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first, second = tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"
+        first.write_text(perfect.read_text())
+        second.write_text(doubled.read_text())
+        code = main(["compute", str(graph), str(first), str(second), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:") and "'x'" in err[0]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_collapsed_layout_message(self, p3_files, tmp_path, capsys):
+        graph, _, _ = p3_files
+        collapsed = tmp_path / "collapsed.csv"
+        collapsed.write_text(write_layout_csv(Layout(np.zeros((3, 2)))))
+        assert main(["compute", str(graph), str(collapsed), "--metrics", "rs"]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: all points coincide; optimal scale is undefined\n"
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["compute", str(tmp_path / "absent.txt"), str(tmp_path / "x.csv")]) == 2
 

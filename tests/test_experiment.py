@@ -133,7 +133,7 @@ class TestRunTrial:
         g = path_graph(3)
         perfect = Layout(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
         layouts = {"perfect": perfect, "random": random_layout(3, 7)}
-        record = run_trial("p3", g, layouts, ("sns",), "as-is")
+        record = run_trial("p3", apsp(g), layouts, ("sns",), "as-is")
         assert record.sources["perfect"].scores["sns"] == pytest.approx(0.0, abs=1e-12)
         assert record.sources["perfect"].scores["sns"] <= record.sources["random"].scores["sns"]
 
@@ -141,21 +141,21 @@ class TestRunTrial:
         g = corpus_graph(24, 0.1, np.random.default_rng(4))
         d = apsp(g)
         layouts = make_layouts(g, d, 1, 2, iterations=30)
-        record = run_trial("g", g, layouts, ("ns",), "paper-like")
+        record = run_trial("g", d, layouts, ("ns",), "paper-like")
         assert record.sources["optimized"].max_distance == pytest.approx(800.0, abs=1e-9)
 
     def test_deterministic_scores(self):
         g = corpus_graph(20, 0.1, np.random.default_rng(6))
         d = apsp(g)
         layouts = make_layouts(g, d, 3, 4, iterations=30)
-        r1 = run_trial("g", g, layouts, ("rs", "sns", "sgs"), "paper-like")
-        r2 = run_trial("g", g, layouts, ("rs", "sns", "sgs"), "paper-like")
+        r1 = run_trial("g", d, layouts, ("rs", "sns", "sgs"), "paper-like")
+        r2 = run_trial("g", d, layouts, ("rs", "sns", "sgs"), "paper-like")
         assert r1.sources["random"].scores == r2.sources["random"].scores
 
     def test_drs_skipped_above_guard(self):
         g = corpus_graph(70, 0.05, np.random.default_rng(8))
         layouts = {"random": random_layout(70, 0), "circle": make_layouts(g, apsp(g), 0, 0, 1)["circle"]}
-        record = run_trial("g", g, layouts, ("drs", "ns"), "as-is")
+        record = run_trial("g", apsp(g), layouts, ("drs", "ns"), "as-is")
         assert record.sources["random"].skipped == ("drs",)
         assert "drs" not in record.sources["random"].scores
         assert "ns" in record.sources["random"].scores
@@ -163,11 +163,11 @@ class TestRunTrial:
     def test_size_mismatch_rejected(self):
         g = path_graph(4)
         with pytest.raises(ValueError, match="layout"):
-            run_trial("g", g, {"random": random_layout(3, 0)}, ("ns",), "as-is")
+            run_trial("g", apsp(g), {"random": random_layout(3, 0)}, ("ns",), "as-is")
 
     def test_alpha_min_recorded(self):
         g = path_graph(5)
-        record = run_trial("g", g, {"random": random_layout(5, 1)}, ("rs", "ns", "sns", "nms"), "as-is")
+        record = run_trial("g", apsp(g), {"random": random_layout(5, 1)}, ("rs", "ns", "sns", "nms"), "as-is")
         alphas = record.sources["random"].alpha_min
         assert set(alphas) == {"rs", "ns", "sns"}
         assert alphas["ns"] == alphas["sns"]
@@ -191,7 +191,7 @@ class TestOrderFrequencies:
         records = []
         for seed in (0, 1):
             layouts = make_layouts(g, d, seed, seed + 10, iterations=40)
-            records.append(run_trial(f"g{seed}", g, layouts, ("sgs",), "as-is"))
+            records.append(run_trial(f"g{seed}", d, layouts, ("sgs",), "as-is"))
         table = order_frequencies(records)
         for record in records:
             assert (
@@ -204,14 +204,14 @@ class TestOrderFrequencies:
         g = path_graph(3)
         perfect = Layout(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
         layouts = {"a": perfect, "b": perfect, "c": random_layout(3, 3)}
-        record = run_trial("g", g, layouts, ("sns",), "as-is")
+        record = run_trial("g", apsp(g), layouts, ("sns",), "as-is")
         table = order_frequencies([record], sources=("a", "b", "c"))
         assert table.tie_counts["sns"] == 1
         assert table.triple_frequency("sns", ("a", "b", "c")) == 1.0
 
     def test_missing_source_rejected(self):
         g = path_graph(3)
-        record = run_trial("g", g, {"only": random_layout(3, 0)}, ("ns",), "as-is")
+        record = run_trial("g", apsp(g), {"only": random_layout(3, 0)}, ("ns",), "as-is")
         with pytest.raises(ValueError, match="missing source"):
             order_frequencies([record])
 
@@ -319,7 +319,7 @@ class TestExperiment:
             for name, layout in layouts.items():
                 alpha = ns_alpha_min(pairwise_distances(layout), d)
                 normalized[name] = scale_layout(layout, alpha)
-            record = run_trial(gid, g, normalized, ("rs", "ns", "sns"), "as-is")
+            record = run_trial(gid, d, normalized, ("rs", "ns", "sns"), "as-is")
             table = order_frequencies([record])
             orders = {
                 m: max(table.triple_counts[m], key=table.triple_counts[m].get)

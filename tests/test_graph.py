@@ -34,6 +34,10 @@ class TestGraphType:
         with pytest.raises(ValueError, match="duplicate"):
             Graph(3, ((0, 1), (0, 1)))
 
+    def test_rejects_unsorted_edges(self):
+        with pytest.raises(ValueError, match=r"edges must be sorted: \(0, 1\) follows \(1, 2\)"):
+            Graph(3, ((1, 2), (0, 1)))
+
     def test_from_edges_normalizes(self):
         g = Graph.from_edges(3, [(2, 0), (0, 2), (1, 0)])
         assert g.edges == ((0, 1), (0, 2))
@@ -47,6 +51,13 @@ class TestGraphType:
 
 
 class TestDistanceMatrix:
+    def test_pairs_cached_and_read_only(self):
+        d = apsp(path_graph(3))
+        assert d.pairs is d.pairs
+        assert d.pairs.tolist() == [1.0, 2.0, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            d.pairs[0] = 5.0
+
     @pytest.mark.parametrize("off", [0.0, -1.0])
     def test_rejects_non_positive_off_diagonal(self, off):
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, off], [2.0, off, 0.0]])

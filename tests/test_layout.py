@@ -58,6 +58,13 @@ class TestPairwiseDistances:
                 ref = math.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
                 assert abs(e[i, j] - ref) <= 1e-12 * ref
 
+    def test_pairs_cached_and_read_only(self):
+        e = pairwise_distances(Layout(np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])))
+        assert e.pairs is e.pairs
+        assert e.pairs.tolist() == [5.0, 10.0, 5.0]
+        with pytest.raises(ValueError, match="read-only"):
+            e.pairs[0] = 1.0
+
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             pairwise_distances(Layout(np.zeros((1, 2))))

@@ -38,7 +38,7 @@ from layoutstress import (
     stress_curve,
 )
 from layoutstress.experiment import bench_graph
-from layoutstress.metrics import _nonmetric_from_pairs, _pair_vectors
+from layoutstress.metrics import _nonmetric_from_pairs, _pair_vectors, score_layout
 
 from conftest import (
     as_layout_distances,
@@ -189,6 +189,20 @@ class TestAlphaMin:
             rs_alpha_min(collapsed, d)
         with pytest.raises(DegenerateLayoutError):
             ns_alpha_min(collapsed, d)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_closed_forms_bit_equal_to_direct_sums(self, seed):
+        n = 40
+        d = apsp(bench_graph(n, np.random.default_rng(seed)))
+        e = pairwise_distances(random_layout(n, seed))
+        ev, dv = _pair_vectors(e, d)
+        ratio = ev / dv
+        num, den = float(np.sum(ratio)), float(np.sum(ratio * ratio))
+        assert rs_alpha_min(e, d) == float(np.sum(ev * dv)) / float(np.sum(ev * ev))
+        assert ns_alpha_min(e, d) == num / den
+        analysis = scale_normalized_stress(e, d)
+        assert analysis.alpha_min == num / den
+        assert analysis.stress_at_min == max(n * (n - 1) / 2.0 - num * num / den, 0.0)
 
 
 class TestAlphaIntersection:
@@ -511,6 +525,24 @@ class TestCrossMetricInvariants:
         assert metric_alpha_min("sns", e, d) == pytest.approx(0.5)
         for m in ("kks", "sgs", "scs", "drs", "nms"):
             assert metric_alpha_min(m, e, d) is None
+
+    def test_metrics_share_one_pair_vector(self, p3):
+        e, d = p3["e_doubled"], p3["d"]
+        ev, dv = _pair_vectors(e, d)
+        assert ev is e.pairs and dv is d.pairs
+
+    def test_score_layout_guards_drs_unless_forced(self):
+        n = 65
+        d = apsp(path_graph(n))
+        e = pairwise_distances(random_layout(n, 3))
+        scores, skipped = score_layout(e, d, ("drs", "ns"))
+        assert skipped == ("drs",) and list(scores) == ["ns"]
+        value, alpha, seconds = scores["ns"]
+        assert value == normalized_stress(e, d) and alpha == ns_alpha_min(e, d) and seconds >= 0.0
+        scores, skipped = score_layout(e, d, ("drs",), force=True)
+        assert skipped == () and list(scores) == ["drs"]
+        value, alpha, _ = scores["drs"]
+        assert value > 0.0 and alpha is None
 
     def test_unknown_metric_rejected(self, p3):
         with pytest.raises(ValueError, match="unknown metric"):
