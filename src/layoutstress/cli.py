@@ -181,6 +181,9 @@ def _cmd_compute(args) -> int:
             },
             "skipped": skipped,
         }
+        # release this drawing's n x n distances and cached pair tables
+        # before the next drawing builds its own
+        del e
 
     out = _resolve_out(args.out)
     if args.format == "json":

@@ -409,7 +409,8 @@ def runtime_benchmark(
 
     One warm-up evaluation per (size, metric) is discarded. Every timed
     evaluation gets distance objects built outside the timed region whose
-    pair vectors are not yet cached, so it pays its own pair extraction.
+    pair vectors and rank tables are not yet cached, so it pays its own pair
+    extraction, and sgs and nms their own pair order and codes.
     drs is refused above BENCH_DRS_MAX_VERTICES unless force is set.
     """
     sizes = [int(n) for n in sizes]

@@ -23,6 +23,13 @@ graph.upper_pairs; numpy's pairwise accumulation bounds floating-point
 drift. DistanceMatrix.pairs and LayoutDistances.pairs keep that vector for
 the object's lifetime (one C(n, 2) float64 vector, 16 MB at n = 2000), so
 the metrics of one drawing, and the drawings of one graph, share it.
+
+The rank metrics sgs and nms share two cached rank tables the same way:
+LayoutDistances.pair_order, the argsort of the drawing's pairs (int64, 8 B
+per pair), and DistanceMatrix.pair_codes, dense codes of the graph's
+distinct distances (1 B per pair up to 256 distinct distances, so 2 MB at
+n = 2000). The graph's average ranks are counted from its codes, without a
+sort.
 """
 
 from __future__ import annotations
@@ -33,10 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLayoutError, SizeGuardError
+from .errors import ConstantSeriesError, DegenerateLayoutError, SizeGuardError
 from .graph import DistanceMatrix
 from .layout import Layout, LayoutDistances, pairwise_distances, scale_layout
-from .stats import isotonic_regression, spearman
+from .stats import isotonic_regression, rank_correlation, ranks_from_codes, ranks_from_order
 
 METRIC_IDS = ("rs", "kks", "ns", "sns", "sgs", "scs", "drs", "nms")
 
@@ -216,11 +223,18 @@ def scale_normalized_stress(e: LayoutDistances, d: DistanceMatrix) -> ScaleAnaly
 
 
 def shepard_goodness(e: LayoutDistances, d: DistanceMatrix) -> float:
-    """Spearman rank correlation between drawing and graph distances."""
+    """Spearman rank correlation between drawing and graph distances.
+
+    Equal to stats.spearman(e.pairs, d.pairs), from the shared rank tables:
+    the drawing is ranked along e.pair_order, the graph from d.pair_codes.
+    """
     if e.n < 3:
         raise ValueError(f"need at least 3 vertices for a rank correlation, got {e.n}")
-    ev, dv = _pair_vectors(e, d)
-    return spearman(ev, dv)
+    ev, _ = _pair_vectors(e, d)
+    order, codes = e.pair_order, d.pair_codes
+    if ev[order[0]] == ev[order[-1]] or codes.max() == 0:
+        raise ConstantSeriesError("rank correlation is undefined for a constant series")
+    return rank_correlation(ranks_from_order(ev, order), ranks_from_codes(codes))
 
 
 def shepard_constant_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
@@ -273,12 +287,13 @@ def distance_ratio_stress(
     return total
 
 
-def _nonmetric_from_pairs(ev: np.ndarray, dv: np.ndarray) -> float:
+def _nonmetric_from_pairs(ev: np.ndarray, order: np.ndarray, d_keys: np.ndarray) -> float:
+    """Stress of ev, given an order that sorts it and keys that sort as d."""
     if not np.any(ev):
         raise DegenerateLayoutError("all drawing distances are zero")
-    # order by d, ties by e; pairs tied on both are interchangeable
-    order = np.argsort(ev)
-    order = order[np.argsort(dv[order], kind="stable")]
+    # order by d, ties by e; pairs tied on both are interchangeable. numpy's
+    # stable sort of uint8 or uint16 codes is a radix sort.
+    order = order[np.argsort(d_keys[order], kind="stable")]
     y = ev[order]
     resid = y - isotonic_regression(y).fitted
     return float(np.sqrt(np.sum(resid * resid) / np.sum(ev * ev)))
@@ -290,7 +305,8 @@ def nonmetric_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
     Pairs are sorted by d, ties by e; disparities are the isotonic
     regression of the drawing distances in that order.
     """
-    return _nonmetric_from_pairs(*_pair_vectors(e, d))
+    ev, _ = _pair_vectors(e, d)
+    return _nonmetric_from_pairs(ev, e.pair_order, d.pair_codes)
 
 
 def compute_metric(

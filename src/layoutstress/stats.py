@@ -39,19 +39,31 @@ def average_ranks(values) -> RankedSeries:
         raise ValueError("values must be a non-empty 1D sequence")
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite")
-    n = vals.size
-    order = np.argsort(vals)
-    sorted_vals = vals[order]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    group_id = np.cumsum(new_group) - 1
-    counts = np.bincount(group_id)
-    first_position = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    group_rank = first_position + (counts + 1) / 2.0
-    ranks = np.empty(n, dtype=float)
-    ranks[order] = group_rank[group_id]
-    return RankedSeries(values=vals, ranks=ranks)
+    return RankedSeries(values=vals, ranks=ranks_from_order(vals, np.argsort(vals)))
+
+
+def ranks_from_order(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Average ranks of values, given an order that sorts them.
+
+    A group of equal values at sorted positions [start, start + size) shares
+    the rank start + (size + 1) / 2, an exact half-integer, so any sorting
+    order gives the same ranks.
+    """
+    sorted_vals = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+    del sorted_vals
+    sizes = np.diff(starts, append=order.size)
+    ranks = np.empty(order.size)
+    ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
+    return ranks
+
+
+def ranks_from_codes(codes: np.ndarray) -> np.ndarray:
+    """Average ranks of values given as dense codes (code k for the k-th
+    smallest distinct value), counted without a sort."""
+    sizes = np.bincount(codes)
+    starts = np.cumsum(sizes) - sizes
+    return (starts + (sizes + 1) / 2.0)[codes]
 
 
 def spearman(xs, ys) -> float:
@@ -64,12 +76,17 @@ def spearman(xs, ys) -> float:
         raise ValueError("need at least 2 observations")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ConstantSeriesError("rank correlation is undefined for a constant series")
-    rx = average_ranks(x).ranks
-    ry = average_ranks(y).ranks
-    # exact +-1 for identical or exactly mirrored rankings
+    return rank_correlation(average_ranks(x).ranks, average_ranks(y).ranks)
+
+
+def rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
+    """Pearson correlation of two equal-length vectors of 1-based average ranks.
+
+    Exactly 1 for identical rankings and -1 for exactly mirrored ones.
+    """
     if np.array_equal(rx, ry):
         return 1.0
-    if np.array_equal(rx + ry, np.full(x.size, x.size + 1.0)):
+    if np.all(rx + ry == rx.size + 1.0):
         return -1.0
     dx = rx - rx.mean()
     dy = ry - ry.mean()

@@ -58,6 +58,26 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="read-only"):
             d.pairs[0] = 5.0
 
+    def test_pair_codes_cached_read_only_and_dense(self):
+        d = apsp(path_graph(4))
+        assert d.pairs.tolist() == [1.0, 2.0, 3.0, 1.0, 2.0, 1.0]
+        assert d.pair_codes is d.pair_codes
+        assert d.pair_codes.dtype == np.uint8
+        assert d.pair_codes.tolist() == [0, 1, 2, 0, 1, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            d.pair_codes[0] = 1
+
+    @pytest.mark.parametrize("distinct, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_pair_codes_take_the_smallest_unsigned_dtype(self, distinct, dtype):
+        n = 24  # 276 pairs
+        i, j = np.triu_indices(n, 1)
+        ranks = np.minimum(np.random.default_rng(0).permutation(i.size), distinct - 1)
+        m = np.zeros((n, n))
+        m[i, j] = m[j, i] = 0.5 * ranks + 1.0
+        d = DistanceMatrix(m)
+        assert d.pair_codes.dtype == dtype
+        assert d.pair_codes.tolist() == ranks.tolist()
+
     @pytest.mark.parametrize("off", [0.0, -1.0])
     def test_rejects_non_positive_off_diagonal(self, off):
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, off], [2.0, off, 0.0]])

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import layoutstress
 from layoutstress import (
     ConstantSeriesError,
     DegenerateLayoutError,
@@ -35,6 +40,7 @@ from layoutstress import (
     scale_normalized_stress,
     shepard_constant_stress,
     shepard_goodness,
+    spearman,
     stress_curve,
 )
 from layoutstress.experiment import bench_graph
@@ -363,6 +369,12 @@ class TestShepardGoodness:
         with pytest.raises(ConstantSeriesError):
             shepard_goodness(e, d)
 
+    def test_constant_drawing_distances_rejected(self):
+        # an equilateral triangle: every drawing distance is 1
+        e = as_layout_distances(np.ones((3, 3)) - np.eye(3))
+        with pytest.raises(ConstantSeriesError):
+            shepard_goodness(e, apsp(path_graph(3)))
+
     def test_needs_three_vertices(self, p2):
         with pytest.raises(ValueError):
             shepard_goodness(p2["e1"], p2["d"])
@@ -439,7 +451,8 @@ class TestNonmetricStress:
     def test_two_pair_hand_fixture(self):
         # anti-monotone pair values pool to their mean: fit (1.5, 1.5),
         # stress sqrt(0.5 / 5)
-        value = _nonmetric_from_pairs(np.array([2.0, 1.0]), np.array([1.0, 2.0]))
+        ev, dv = np.array([2.0, 1.0]), np.array([1.0, 2.0])
+        value = _nonmetric_from_pairs(ev, np.argsort(ev), dv)
         assert value == pytest.approx(math.sqrt(0.5 / 5))
 
     def test_tie_order_matches_pair_index_order(self):
@@ -466,6 +479,65 @@ class TestNonmetricStress:
         d = apsp(path_graph(3))
         with pytest.raises(DegenerateLayoutError):
             nonmetric_stress(as_layout_distances(np.zeros((3, 3))), d)
+
+
+def _nms_by_float_sort(ev, dv):
+    """nms ordered by argsort(ev), then a stable argsort of the float d."""
+    order = np.argsort(ev)
+    order = order[np.argsort(dv[order], kind="stable")]
+    y = ev[order]
+    resid = y - isotonic_regression(y).fitted
+    return float(np.sqrt(np.sum(resid * resid) / np.sum(ev * ev)))
+
+
+class TestSharedRankTables:
+    """sgs and nms from the cached pair_order and pair_codes are bit-equal
+    to spearman and to an nms that sorts the float distances."""
+
+    @staticmethod
+    def _check(e, d):
+        assert shepard_goodness(e, d) == spearman(e.pairs, d.pairs)
+        assert nonmetric_stress(e, d) == _nms_by_float_sort(e.pairs, d.pairs)
+
+    @pytest.mark.parametrize("drawing", ["random", "circle"])
+    def test_hop_distances(self, drawing):
+        n = 300
+        d = apsp(bench_graph(n, np.random.default_rng(0)))
+        layout = random_layout(n, 1) if drawing == "random" else circle_layout(n)
+        assert d.pair_codes.dtype == np.uint8
+        self._check(pairwise_distances(layout), d)
+
+    @pytest.mark.parametrize("n, dtype", [(40, np.uint16), (400, np.uint32)])
+    def test_real_distances(self, n, dtype):
+        # every distance between random points is distinct: 780 and 79,800
+        d = DistanceMatrix(pairwise_distances(random_layout(n, 2)).e)
+        assert d.pair_codes.dtype == dtype
+        assert int(d.pair_codes.max()) + 1 == n * (n - 1) // 2
+        for layout in (random_layout(n, 3), circle_layout(n)):
+            self._check(pairwise_distances(layout), d)
+
+
+def test_scoring_never_imports_numpy_ma():
+    # np.unique imports numpy.ma (about 1 MB) on first use; the rank tables
+    # are built without it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from layoutstress import METRIC_IDS, apsp, pairwise_distances, random_layout\n"
+        "from layoutstress.experiment import bench_graph\n"
+        "from layoutstress.metrics import score_layout\n"
+        "d = apsp(bench_graph(30, np.random.default_rng(0)))\n"
+        "ids = [m for m in METRIC_IDS if m != 'drs']\n"
+        "scores, _ = score_layout(pairwise_distances(random_layout(30, 1)), d, ids)\n"
+        "assert sorted(scores) == sorted(ids)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(layoutstress.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestCrossMetricInvariants:

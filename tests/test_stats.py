@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from layoutstress import ConstantSeriesError, average_ranks, isotonic_regression, spearman
+from layoutstress.stats import ranks_from_codes, ranks_from_order
 
 from conftest import isotonic_by_enumeration
 
@@ -42,6 +43,28 @@ class TestAverageRanks:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             average_ranks([])
+
+    def test_exact_against_counting_oracle(self):
+        # rank = 1 + #smaller + (#equal - 1) / 2, compared with ==
+        rng = np.random.default_rng(4)
+        for k in range(300):
+            n = int(rng.integers(1, 60))
+            vals = rng.integers(0, 1 + k % 7, size=n) if k % 2 else rng.random(n)
+            vals = vals.astype(float)
+            smaller = (vals[None, :] < vals[:, None]).sum(axis=1)
+            equal = (vals[None, :] == vals[:, None]).sum(axis=1)
+            expected = 1.0 + smaller + (equal - 1) / 2.0
+            assert np.array_equal(average_ranks(vals).ranks, expected)
+            # any order that sorts the values gives the same ranks
+            stable = np.argsort(vals, kind="stable")
+            assert np.array_equal(ranks_from_order(vals, stable), expected)
+
+    def test_ranks_from_codes_match_average_ranks(self):
+        rng = np.random.default_rng(5)
+        for k in range(50):
+            codes = rng.permutation(np.repeat(np.arange(1 + k % 9), rng.integers(1, 20, size=1 + k % 9)))
+            codes = codes.astype(np.uint8)
+            assert np.array_equal(ranks_from_codes(codes), average_ranks(codes).ranks)
 
     def test_matches_scipy_rankdata_on_ties(self):
         stats = pytest.importorskip("scipy.stats")
