@@ -290,15 +290,18 @@ def _experiment_config(args) -> exp.ExperimentConfig:
         if "scale_policy" in data:
             kwargs["scale_policy"] = data["scale_policy"]
         if "optimizer_iterations" in data:
-            try:
-                kwargs["optimizer_iterations"] = int(data["optimizer_iterations"])
-            except (TypeError, ValueError):
+            iterations = data["optimizer_iterations"]
+            if isinstance(iterations, bool) or not isinstance(iterations, int):
                 raise _InputError(
-                    f"{args.config}: 'optimizer_iterations' must be an integer, "
-                    f"got {data['optimizer_iterations']!r}"
-                ) from None
+                    f"{args.config}: 'optimizer_iterations' must be an integer, got {iterations!r}"
+                )
+            kwargs["optimizer_iterations"] = iterations
         if "drs_force" in data:
-            kwargs["drs_force"] = bool(data["drs_force"])
+            if not isinstance(data["drs_force"], bool):
+                raise _InputError(
+                    f"{args.config}: 'drs_force' must be true or false, got {data['drs_force']!r}"
+                )
+            kwargs["drs_force"] = data["drs_force"]
         config = replace(config, corpus=corpus, **kwargs)
     if args.seed is not None:
         config = replace(config, corpus=replace(config.corpus, seed=args.seed))

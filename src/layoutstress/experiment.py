@@ -361,7 +361,7 @@ def metric_correlations(records, sources=LAYOUT_SOURCES) -> CorrelationTable:
                         _adjusted(metric_id, record.sources[src].scores[metric_id])
                         for src in sources
                     ]
-                ).ranks
+                )
                 for record in records
             ]
         )

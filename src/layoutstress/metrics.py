@@ -79,7 +79,6 @@ class ScaleAnalysis:
 
     alpha_min: float
     stress_at_min: float
-    quadratic: QuadraticStressForm
 
 
 @dataclass(frozen=True)
@@ -219,7 +218,7 @@ def scale_normalized_stress(e: LayoutDistances, d: DistanceMatrix) -> ScaleAnaly
     num = quad.b / -2.0  # exactly sum(e/d): b is -2 times it
     # c - num^2/a is mathematically >= 0; clamp fp wobble at perfection
     value = max(quad.c - num * num / quad.a, 0.0)
-    return ScaleAnalysis(alpha_min=alpha, stress_at_min=value, quadratic=quad)
+    return ScaleAnalysis(alpha_min=alpha, stress_at_min=value)
 
 
 def shepard_goodness(e: LayoutDistances, d: DistanceMatrix) -> float:
@@ -295,7 +294,7 @@ def _nonmetric_from_pairs(ev: np.ndarray, order: np.ndarray, d_keys: np.ndarray)
     # stable sort of uint8 or uint16 codes is a radix sort.
     order = order[np.argsort(d_keys[order], kind="stable")]
     y = ev[order]
-    resid = y - isotonic_regression(y).fitted
+    resid = y - isotonic_regression(y)
     return float(np.sqrt(np.sum(resid * resid) / np.sum(ev * ev)))
 
 

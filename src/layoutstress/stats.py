@@ -6,29 +6,12 @@ stress (isotonic regression of drawing distances).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConstantSeriesError
 
 
-@dataclass(frozen=True, eq=False)
-class RankedSeries:
-    """Values with their 1-based average ranks (ties share the group mean)."""
-
-    values: np.ndarray
-    ranks: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class IsotonicFit:
-    """Non-decreasing least-squares fit; constant on each pooled block."""
-
-    fitted: np.ndarray
-
-
-def average_ranks(values) -> RankedSeries:
+def average_ranks(values) -> np.ndarray:
     """Assign 1-based ranks, averaging within groups of equal values.
 
     Equal values share their group's mean rank, so any sort order gives the
@@ -39,7 +22,7 @@ def average_ranks(values) -> RankedSeries:
         raise ValueError("values must be a non-empty 1D sequence")
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite")
-    return RankedSeries(values=vals, ranks=ranks_from_order(vals, np.argsort(vals)))
+    return ranks_from_order(vals, np.argsort(vals))
 
 
 def ranks_from_order(values: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -76,7 +59,7 @@ def spearman(xs, ys) -> float:
         raise ValueError("need at least 2 observations")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ConstantSeriesError("rank correlation is undefined for a constant series")
-    return rank_correlation(average_ranks(x).ranks, average_ranks(y).ranks)
+    return rank_correlation(average_ranks(x), average_ranks(y))
 
 
 def rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
@@ -84,10 +67,10 @@ def rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
 
     Exactly 1 for identical rankings and -1 for exactly mirrored ones.
     """
-    if np.array_equal(rx, ry):
-        return 1.0
-    if np.all(rx + ry == rx.size + 1.0):
-        return -1.0
+    # average ranks are half-integers summing to n(n + 1) / 2, so each mean
+    # is exactly (n + 1) / 2; identical rankings then give dy == dx and
+    # mirrored ones dy == -dx bitwise, and sqrt(fl(S * S)) == S, so the
+    # quotient below is exactly 1 or -1
     dx = rx - rx.mean()
     dy = ry - ry.mean()
     denominator = float(np.sqrt(np.sum(dx * dx) * np.sum(dy * dy)))
@@ -102,23 +85,23 @@ def rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
 _SCALAR_POOL_STEPS = 16
 
 
-def _pool_run(y, w, wy, i, stop, sw, swy, above):
-    """Pool y[i], y[i + 1], ... (before stop) into a block of weight sw and
-    weighted sum swy while each one lies above the block's mean (``above``)
+def _pool_run(y, i, stop, count, total, above):
+    """Pool y[i], y[i + 1], ... (before stop) into a block of count values
+    summing to total while each one lies above the block's mean (``above``)
     or below it (otherwise); return the first index not pooled and the
-    block's new sums.
+    block's new count and sum.
 
-    The sums are accumulated outward from the block, one value after the
-    other, so their rounding is relative to the values pooled. Each value is
-    compared with the mean as it will be reported, swy / sw.
+    The sum is accumulated outward from the block, one value after the
+    other, so its rounding is relative to the values pooled. Each value is
+    compared with the mean as it will be reported, total / count.
     """
     sign = 1.0 if above else -1.0
-    yv, wv, wyv = y.item, w.item, wy.item
+    yv = y.item
     for _ in range(_SCALAR_POOL_STEPS):
-        if i == stop or (yv(i) - swy / sw) * sign <= 0.0:
-            return i, sw, swy
-        sw += wv(i)
-        swy += wyv(i)
+        if i == stop or (yv(i) - total / count) * sign <= 0.0:
+            return i, count, total
+        count += 1
+        total += yv(i)
         i += 1
     # then windows of doubling length, so the numpy work stays linear in
     # the number of values pooled
@@ -126,23 +109,23 @@ def _pool_run(y, w, wy, i, stop, sw, swy, above):
     while i < stop:
         size *= 2
         j = min(i + size, stop)
-        # the block's sums just before each value of the window joins
-        bw = np.cumsum(np.concatenate(([sw], w[i : j - 1])))
-        bwy = np.cumsum(np.concatenate(([swy], wy[i : j - 1])))
-        stays = ((y[i:j] - bwy / bw) * sign <= 0.0).nonzero()[0]
+        # the block's count and sum just before each value of the window joins
+        counts = count + np.arange(j - i)
+        totals = np.cumsum(np.concatenate(([total], y[i : j - 1])))
+        stays = ((y[i:j] - totals / counts) * sign <= 0.0).nonzero()[0]
         if stays.size:
             k = int(stays[0])
-            return i + k, bw.item(k), bwy.item(k)
-        sw, swy = bw.item(-1) + wv(j - 1), bwy.item(-1) + wyv(j - 1)
+            return i + k, count + k, totals.item(k)
+        count, total = count + (j - i), totals.item(-1) + yv(j - 1)
         i = j
-    return i, sw, swy
+    return i, count, total
 
 
-def isotonic_regression(ys, weights=None) -> IsotonicFit:
-    """Weighted least-squares fit constrained to be non-decreasing.
+def isotonic_regression(ys) -> np.ndarray:
+    """Least-squares fit constrained to be non-decreasing.
 
     Pool-adjacent-violators over runs: the optimum, up to the rounding of
-    each block's own sums. A violation can only start where the input
+    each block's own sum. A violation can only start where the input
     drops, so the input is taken as R maximal non-decreasing runs, and each
     pooling step takes in a stretch of one run's ascending values at once.
     The Python-level work therefore grows with the number of pooling steps
@@ -155,18 +138,6 @@ def isotonic_regression(ys, weights=None) -> IsotonicFit:
         raise ValueError("input must be a non-empty 1D sequence")
     if not np.isfinite(y).all():
         raise ValueError("input must be finite")
-    if weights is None:
-        w = np.ones_like(y)
-        wy = y
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != y.shape:
-            raise ValueError("weights must match input length")
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be positive")
-        wy = w * y
 
     n = y.size
     starts = np.concatenate(([True], y[1:] < y[:-1])).nonzero()[0]
@@ -174,44 +145,42 @@ def isotonic_regression(ys, weights=None) -> IsotonicFit:
     run_ends = run_starts[1:]
     run_ends.append(n)
     # the input right to left, for pooling leftward from a block
-    yr, wr, wyr = y[::-1], w[::-1], wy[::-1]
+    yr = y[::-1]
 
-    # entry (a, p, b, sw, swy): pooled block [a, p) of weight sw and weighted
-    # sum swy, then singletons [p, b) ascending from y[p] >= swy / sw. A run
-    # enters as its first element pooled. Against a violating entry below, it
-    # pools the values of that entry's tail above its mean, or the entry's
-    # block once the tail is gone; the mean rises, so the values of its own
-    # tail below the mean then join it.
+    # entry (a, p, b, count, total): pooled block [a, p) of count values
+    # summing to total, then singletons [p, b) ascending from y[p] >= total /
+    # count. A run enters as its first element pooled. Against a violating
+    # entry below, it pools the values of that entry's tail above its mean,
+    # or the entry's block once the tail is gone; the mean rises, so the
+    # values of its own tail below the mean then join it.
     yv = y.item
-    stack: list[tuple[int, int, int, float, float]] = []
-    for s, t, sw, swy in zip(run_starts, run_ends, w[starts].tolist(), wy[starts].tolist()):
-        a, p = s, s + 1
+    stack: list[tuple[int, int, int, int, float]] = []
+    for s, t, total in zip(run_starts, run_ends, y[starts].tolist()):
+        a, p, count = s, s + 1, 1
         while True:
-            # checked before any pooling too: with weights, swy / sw can
-            # round to above y[s], and so above y[p]
-            if p < t and yv(p) < swy / sw:
-                p, sw, swy = _pool_run(y, w, wy, p, t, sw, swy, above=False)
+            if p < t and yv(p) < total / count:
+                p, count, total = _pool_run(y, p, t, count, total, above=False)
             if not stack:
                 break
-            ta, tp, tb, tsw, tswy = stack[-1]
+            ta, tp, tb, tcount, ttotal = stack[-1]
             if tb > tp:
-                if yv(tb - 1) <= swy / sw:
+                if yv(tb - 1) <= total / count:
                     break
-                r, sw, swy = _pool_run(yr, wr, wyr, n - tb, n - tp, sw, swy, above=True)
+                r, count, total = _pool_run(yr, n - tb, n - tp, count, total, above=True)
                 a = n - r
-                stack[-1] = (ta, tp, a, tsw, tswy)
-            elif tswy / tsw > swy / sw:
+                stack[-1] = (ta, tp, a, tcount, ttotal)
+            elif ttotal / tcount > total / count:
                 a = ta
-                sw += tsw
-                swy += tswy
+                count += tcount
+                total += ttotal
                 stack.pop()
             else:
                 break
-        stack.append((a, p, t, sw, swy))
+        stack.append((a, p, t, count, total))
 
     # every decision above compared the means as reported here, so the fit
     # is non-decreasing exactly
     fitted = y.copy()
-    for a, p, _, sw, swy in stack:
-        fitted[a:p] = swy / sw
-    return IsotonicFit(fitted=fitted)
+    for a, p, _, count, total in stack:
+        fitted[a:p] = total / count
+    return fitted

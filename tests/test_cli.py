@@ -296,6 +296,21 @@ class TestExperimentConfigErrors:
         assert code == 2
         assert "every trial failed" in err and "iterations must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"drs_force": "false"}, "'drs_force'"),
+            ({"optimizer_iterations": 2.7}, "'optimizer_iterations'"),
+            ({"optimizer_iterations": True}, "'optimizer_iterations'"),
+            ({"optimizer_iterations": "300"}, "'optimizer_iterations'"),
+        ],
+        ids=["string_drs_force", "float_iterations", "bool_iterations", "string_iterations"],
+    )
+    def test_wrong_type_top_level_value_names_key(self, tmp_path, capsys, data, key):
+        code, err = self.run_config(tmp_path, capsys, data)
+        assert code == 2
+        assert err.startswith("input error:") and key in err
+
     def test_empty_corpus(self, tmp_path, capsys):
         code, err = self.run_config(tmp_path, capsys, {"corpus": {"graphs": 0}})
         assert code == 2

@@ -354,6 +354,12 @@ class TestShepardGoodness:
     def test_perfect_is_one(self, p3):
         assert shepard_goodness(p3["e_perfect"], p3["d"]) == 1.0
 
+    def test_collinear_path_is_exactly_one(self):
+        # 199 tie groups among 19,900 pairs, ranked identically on both sides
+        n = 200
+        layout = Layout(np.column_stack((2.5 * np.arange(n), np.zeros(n))))
+        assert shepard_goodness(pairwise_distances(layout), apsp(path_graph(n))) == 1.0
+
     def test_exact_rank_invariance_under_scaling(self):
         rng = np.random.default_rng(13)
         _, d, layout = random_instance(rng)
@@ -465,7 +471,7 @@ class TestNonmetricStress:
         i, j = np.triu_indices(n, 1)
         ev, dv = e.e[i, j], d.d[i, j]
         y = ev[np.lexsort((j, i, ev, dv))]
-        resid = y - isotonic_regression(y).fitted
+        resid = y - isotonic_regression(y)
         expected = math.sqrt(np.sum(resid * resid) / np.sum(ev * ev))
         assert abs(nonmetric_stress(e, d) - expected) <= 1e-12 * expected
 
@@ -486,7 +492,7 @@ def _nms_by_float_sort(ev, dv):
     order = np.argsort(ev)
     order = order[np.argsort(dv[order], kind="stable")]
     y = ev[order]
-    resid = y - isotonic_regression(y).fitted
+    resid = y - isotonic_regression(y)
     return float(np.sqrt(np.sum(resid * resid) / np.sum(ev * ev)))
 
 

@@ -6,30 +6,30 @@ import numpy as np
 import pytest
 
 from layoutstress import ConstantSeriesError, average_ranks, isotonic_regression, spearman
-from layoutstress.stats import ranks_from_codes, ranks_from_order
+from layoutstress.stats import rank_correlation, ranks_from_codes, ranks_from_order
 
 from conftest import isotonic_by_enumeration
 
 
 class TestAverageRanks:
     def test_distinct(self):
-        assert average_ranks([10, 20, 30]).ranks.tolist() == [1, 2, 3]
+        assert average_ranks([10, 20, 30]).tolist() == [1, 2, 3]
 
     def test_pair_tie(self):
-        assert average_ranks([5, 5]).ranks.tolist() == [1.5, 1.5]
+        assert average_ranks([5, 5]).tolist() == [1.5, 1.5]
 
     def test_mixed_ties(self):
-        assert average_ranks([1, 2, 2, 3]).ranks.tolist() == [1, 2.5, 2.5, 4]
+        assert average_ranks([1, 2, 2, 3]).tolist() == [1, 2.5, 2.5, 4]
 
     def test_order_independent_of_position(self):
-        assert average_ranks([2, 2, 1]).ranks.tolist() == [2.5, 2.5, 1]
+        assert average_ranks([2, 2, 1]).tolist() == [2.5, 2.5, 1]
 
     def test_ranks_sum_invariant(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             n = int(rng.integers(1, 40))
             vals = rng.integers(0, 6, size=n).astype(float)
-            ranks = average_ranks(vals).ranks
+            ranks = average_ranks(vals)
             assert ranks.sum() == pytest.approx(n * (n + 1) / 2)
             # equal values share a rank
             for a, b in itertools.combinations(range(n), 2):
@@ -54,7 +54,7 @@ class TestAverageRanks:
             smaller = (vals[None, :] < vals[:, None]).sum(axis=1)
             equal = (vals[None, :] == vals[:, None]).sum(axis=1)
             expected = 1.0 + smaller + (equal - 1) / 2.0
-            assert np.array_equal(average_ranks(vals).ranks, expected)
+            assert np.array_equal(average_ranks(vals), expected)
             # any order that sorts the values gives the same ranks
             stable = np.argsort(vals, kind="stable")
             assert np.array_equal(ranks_from_order(vals, stable), expected)
@@ -64,7 +64,7 @@ class TestAverageRanks:
         for k in range(50):
             codes = rng.permutation(np.repeat(np.arange(1 + k % 9), rng.integers(1, 20, size=1 + k % 9)))
             codes = codes.astype(np.uint8)
-            assert np.array_equal(ranks_from_codes(codes), average_ranks(codes).ranks)
+            assert np.array_equal(ranks_from_codes(codes), average_ranks(codes))
 
     def test_matches_scipy_rankdata_on_ties(self):
         stats = pytest.importorskip("scipy.stats")
@@ -76,7 +76,7 @@ class TestAverageRanks:
             np.full(9, 2.5),
         ]
         for x in inputs:
-            ranks = average_ranks(x).ranks
+            ranks = average_ranks(x)
             assert np.array_equal(ranks, stats.rankdata(x, method="average"))
 
 
@@ -119,6 +119,22 @@ class TestSpearman:
         with pytest.raises(ValueError):
             spearman([1], [2])
 
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("distinct", 500), ("tie-heavy", 500), ("distinct", 2_000_000)],
+        ids=["distinct", "tie-heavy", "distinct-2e6"],
+    )
+    def test_identical_and_mirrored_rankings_are_exact(self, kind, n):
+        # no short-circuit: the Pearson arithmetic itself must give exactly
+        # 1 and -1 on average ranks
+        rng = np.random.default_rng(n)
+        xs = rng.normal(size=n) if kind == "distinct" else rng.integers(0, 7, size=n) / 3.0
+        ranks = average_ranks(xs)
+        assert rank_correlation(ranks, ranks.copy()) == 1.0
+        assert rank_correlation(ranks, n + 1.0 - ranks) == -1.0
+        assert spearman(xs, xs) == 1.0
+        assert spearman(xs, -xs) == -1.0
+
     def test_bounded(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
@@ -131,49 +147,34 @@ class TestSpearman:
 
 class TestIsotonicRegression:
     def test_already_monotone(self):
-        assert isotonic_regression([1, 2, 3]).fitted.tolist() == [1, 2, 3]
+        assert isotonic_regression([1, 2, 3]).tolist() == [1, 2, 3]
 
     def test_full_pool(self):
-        assert isotonic_regression([3, 1, 2]).fitted.tolist() == [2, 2, 2]
+        assert isotonic_regression([3, 1, 2]).tolist() == [2, 2, 2]
 
     def test_middle_violation(self):
-        assert isotonic_regression([1, 3, 2, 4]).fitted.tolist() == [1, 2.5, 2.5, 4]
-
-    def test_weighted_pool(self):
-        fit = isotonic_regression([3.0, 1.0], weights=[1.0, 3.0]).fitted
-        assert fit.tolist() == [1.5, 1.5]
+        assert isotonic_regression([1, 3, 2, 4]).tolist() == [1, 2.5, 2.5, 4]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             isotonic_regression([])
 
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ValueError):
-            isotonic_regression([1, 2], weights=[1.0])
-        with pytest.raises(ValueError):
-            isotonic_regression([1, 2], weights=[1.0, 0.0])
-
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError):
             isotonic_regression([3.0, np.nan, 1.0])
-
-    def test_non_finite_weight_rejected(self):
-        with pytest.raises(ValueError):
-            isotonic_regression([3.0, 2.0, 1.0], weights=[1.0, np.nan, 1.0])
 
     def test_fit_is_monotone_and_blockwise_mean(self):
         rng = np.random.default_rng(8)
         for _ in range(60):
             n = int(rng.integers(1, 30))
             ys = rng.normal(size=n)
-            w = rng.uniform(0.5, 3.0, size=n)
-            fit = isotonic_regression(ys, w).fitted
+            fit = isotonic_regression(ys)
             assert np.all(np.diff(fit) >= 0)
             # each constant block averages its inputs
             start = 0
             for k in range(1, n + 1):
                 if k == n or fit[k] != fit[start]:
-                    block_mean = np.sum(w[start:k] * ys[start:k]) / np.sum(w[start:k])
+                    block_mean = np.mean(ys[start:k])
                     assert fit[start] == pytest.approx(block_mean, rel=1e-12)
                     start = k
 
@@ -182,18 +183,16 @@ class TestIsotonicRegression:
         for _ in range(40):
             n = int(rng.integers(1, 7))
             ys = rng.integers(0, 3, size=n).astype(float)
-            w = rng.uniform(0.5, 2.0, size=n)
-            expected = isotonic_by_enumeration(ys, w)
-            assert isotonic_regression(ys, w).fitted == pytest.approx(expected, abs=1e-10)
+            expected = isotonic_by_enumeration(ys)
+            assert isotonic_regression(ys) == pytest.approx(expected, abs=1e-10)
 
     def test_residual_optimality_under_perturbation(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
             n = int(rng.integers(2, 20))
             ys = rng.normal(size=n)
-            w = rng.uniform(0.5, 2.0, size=n)
-            fit = isotonic_regression(ys, w).fitted
-            best = float(np.sum(w * (ys - fit) ** 2))
+            fit = isotonic_regression(ys)
+            best = float(np.sum((ys - fit) ** 2))
             # nudge each block up/down where monotonicity allows
             blocks = []
             start = 0
@@ -206,51 +205,49 @@ class TestIsotonicRegression:
                     cand = fit.copy()
                     cand[a:b] += eps
                     if np.all(np.diff(cand) >= 0):
-                        obj = float(np.sum(w * (ys - cand) ** 2))
+                        obj = float(np.sum((ys - cand) ** 2))
                         assert obj >= best - 1e-12
 
     @pytest.mark.parametrize(
-        "weights, expected",
+        "ys, expected",
         [
-            (None, [-1e17, 5.0, 5.0, 5.0, 5.0, 5.0, 10.0]),
-            ([1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0], [-1e17] + [37.0 / 8.0] * 5 + [10.0]),
+            ([-1e17, 5.0, 6.0, 7.0, 3.0, 4.0, 10.0], [-1e17] + [5.0] * 5 + [10.0]),
+            (
+                [-1e17, 5.0, 6.0, 6.0, 7.0, 3.0, 3.0, 3.0, 4.0, 10.0],
+                [-1e17] + [37.0 / 8.0] * 8 + [10.0],
+            ),
         ],
-        ids=["unweighted", "weighted"],
+        ids=["distinct", "repeated"],
     )
-    def test_huge_earlier_value_does_not_steer_pooling(self, weights, expected):
+    def test_huge_earlier_value_does_not_steer_pooling(self, ys, expected):
         # doubles near 1e17 are 16 apart, so sums that start at the first
         # value cannot tell 5, 6, 7, 3 and 4 apart
-        fit = isotonic_regression([-1e17, 5.0, 6.0, 7.0, 3.0, 4.0, 10.0], weights).fitted
-        np.testing.assert_array_equal(fit, expected)
+        np.testing.assert_array_equal(isotonic_regression(ys), expected)
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_huge_first_value_leaves_long_runs_alone(self, weighted):
+    @pytest.mark.parametrize("repeated", [False, True])
+    def test_huge_first_value_leaves_long_runs_alone(self, repeated):
         rng = np.random.default_rng(12)
         rest = np.concatenate(
             (np.linspace(5.0, 7.0, 300), np.sort(rng.uniform(3.0, 8.0, 300)), [4.0, 10.0])
         )
-        w = rng.uniform(0.5, 3.0, size=rest.size + 1) if weighted else None
-        fit = isotonic_regression(np.concatenate(([-1e17], rest)), w).fitted
+        if repeated:
+            rest = np.repeat(rest, rng.integers(1, 4, size=rest.size))
+        fit = isotonic_regression(np.concatenate(([-1e17], rest)))
         assert fit[0] == -1e17
-        rest_fit = isotonic_regression(rest, None if w is None else w[1:]).fitted
-        np.testing.assert_allclose(fit[1:], rest_fit, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(fit[1:], isotonic_regression(rest), rtol=1e-12, atol=0.0)
 
     def test_fit_is_exactly_monotone_on_ties(self):
-        # (0.7 * (3 / 7)) / 0.7 rounds to one step above 3 / 7
-        fit = isotonic_regression([3 / 7, 3 / 7], weights=[0.7, 1.0]).fitted
-        assert fit[1] >= fit[0]
         rng = np.random.default_rng(4)
         for _ in range(2000):
             n = int(rng.integers(2, 100))
             ys = np.round(rng.normal(size=n) * 3.0) / 7.0
-            for weights in (None, rng.uniform(0.1, 5.0, size=n)):
-                assert np.all(np.diff(isotonic_regression(ys, weights).fitted) >= 0.0)
+            assert np.all(np.diff(isotonic_regression(ys)) >= 0.0)
 
     @pytest.mark.parametrize("runs", [1, 2, 12, 200])
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_matches_scipy_on_long_runs(self, runs, weighted):
+    @pytest.mark.parametrize("repeated", [False, True])
+    def test_matches_scipy_on_long_runs(self, runs, repeated):
         optimize = pytest.importorskip("scipy.optimize")
-        rng = np.random.default_rng(1000 * runs + weighted)
+        rng = np.random.default_rng(1000 * runs + repeated)
         n = int(rng.integers(10_000, 100_001))
         # runs of even length >= 2, each spanning [offset, offset + 1] and
         # starting below where the one before it ends
@@ -263,11 +260,11 @@ class TestIsotonicRegression:
             parts.append(part)
             offset += rng.uniform(-1.5, 0.9)
         ys = np.concatenate(parts)
+        if repeated:
+            ys = np.repeat(ys, rng.integers(1, 4, size=n))
         assert np.count_nonzero(ys[1:] < ys[:-1]) == runs - 1
-        w = rng.uniform(0.5, 3.0, size=n) if weighted else None
-        want = optimize.isotonic_regression(ys, weights=w).x
-        got = isotonic_regression(ys, w).fitted
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+        want = optimize.isotonic_regression(ys).x
+        np.testing.assert_allclose(isotonic_regression(ys), want, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize(
         "ys",
@@ -280,5 +277,5 @@ class TestIsotonicRegression:
     )
     def test_matches_scipy_edge_cases(self, ys):
         optimize = pytest.importorskip("scipy.optimize")
-        got = isotonic_regression(ys).fitted
+        got = isotonic_regression(ys)
         np.testing.assert_allclose(got, optimize.isotonic_regression(ys).x, rtol=0.0, atol=1e-9)
