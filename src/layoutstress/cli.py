@@ -288,7 +288,13 @@ def _experiment_config(args) -> exp.ExperimentConfig:
                 raise _InputError(f"{args.config}: 'metrics' must be a list of metric ids")
             kwargs["metric_ids"] = _parse_metric_list(",".join(metrics))
         if "scale_policy" in data:
-            kwargs["scale_policy"] = data["scale_policy"]
+            policy = data["scale_policy"]
+            if policy not in exp.SCALE_POLICIES:
+                raise _InputError(
+                    f"{args.config}: 'scale_policy' must be one of"
+                    f" {', '.join(exp.SCALE_POLICIES)}, got {policy!r}"
+                )
+            kwargs["scale_policy"] = policy
         if "optimizer_iterations" in data:
             iterations = data["optimizer_iterations"]
             if isinstance(iterations, bool) or not isinstance(iterations, int):
@@ -307,10 +313,6 @@ def _experiment_config(args) -> exp.ExperimentConfig:
         config = replace(config, corpus=replace(config.corpus, seed=args.seed))
     if args.scale_policy is not None:
         config = replace(config, scale_policy=args.scale_policy)
-    if config.scale_policy not in exp.SCALE_POLICIES:
-        raise _UsageError(
-            f"unknown scale policy {config.scale_policy!r} (known: {', '.join(exp.SCALE_POLICIES)})"
-        )
     return config
 
 

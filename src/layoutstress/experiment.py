@@ -408,9 +408,11 @@ def runtime_benchmark(
     """Median metric runtimes over graph sizes, plus log-log slopes.
 
     One warm-up evaluation per (size, metric) is discarded. Every timed
-    evaluation gets distance objects built outside the timed region whose
-    pair vectors and rank tables are not yet cached, so it pays its own pair
-    extraction, and sgs and nms their own pair order and codes.
+    evaluation gets distance objects built outside the timed region, whose
+    drawing pair vector and rank tables are not yet cached: it pays the
+    drawing's pair extraction, and sgs and nms their own pair order and
+    codes. The graph's pair vector is extracted when its object is built,
+    so no timed call pays for it.
     drs is refused above BENCH_DRS_MAX_VERTICES unless force is set.
     """
     sizes = [int(n) for n in sizes]

@@ -1,14 +1,14 @@
 """Graph ingestion and all-pairs shortest paths.
 
 Graphs are undirected, simple, unweighted, with contiguous vertex ids.
-Graph-theoretic distances are hop counts, stored as a dense symmetric
-matrix of floats.
+Graph-theoretic distances are hop counts, kept condensed: one float per
+unordered vertex pair, in the pair order of upper_pairs.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -99,12 +99,22 @@ def upper_pairs(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric matrix of positive pairwise distances, zero diagonal."""
+    """Positive pairwise distances of n vertices, kept condensed.
 
-    d: np.ndarray
+    Built from a symmetric n x n matrix with a zero diagonal, which is
+    validated and then dropped: the object keeps n and the read-only pair
+    vector, one C(n, 2) float64 vector (16 MB at n = 2000), about half the
+    bytes of the square matrix. The metrics read only the pair vector and
+    the rank table pair_codes; d rebuilds the square matrix for the callers
+    that want one.
+    """
 
-    def __post_init__(self) -> None:
-        d = np.asarray(self.d, dtype=float)
+    square: InitVar[np.ndarray]
+    n: int = field(init=False)
+    pairs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, square) -> None:
+        d = np.asarray(square, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
@@ -116,23 +126,24 @@ class DistanceMatrix:
         # the diagonal is zero, so exactly its n entries may be <= 0
         if np.count_nonzero(d <= 0.0) != d.shape[0]:
             raise ValueError("off-diagonal distances must be positive")
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", d.shape[0])
+        # upper_pairs copies, so the caller's matrix is not kept
+        object.__setattr__(self, "pairs", upper_pairs(d))
 
     @property
-    def n(self) -> int:
-        return self.d.shape[0]
+    def d(self) -> np.ndarray:
+        """The symmetric n x n float64 matrix, rebuilt read-only from pairs on
+        each access (32 MB at n = 2000)."""
+        mask = _triu(self.n)
+        d = np.zeros((self.n, self.n))
+        d[mask] = self.pairs
+        d.T[mask] = self.pairs
+        d.setflags(write=False)
+        return d
 
     @property
     def max_distance(self) -> float:
-        return float(self.d.max())
-
-    @cached_property
-    def pairs(self) -> np.ndarray:
-        """Read-only d_ij over i<j in upper_pairs order, cached for the object's
-        lifetime: one C(n, 2) float64 vector, 16 MB at n = 2000."""
-        return upper_pairs(self.d)
+        return float(self.pairs.max(initial=0.0))
 
     @cached_property
     def pair_codes(self) -> np.ndarray:
@@ -328,10 +339,13 @@ def apsp(graph: Graph) -> DistanceMatrix:
     2014). A level ORs the frontier words over a neighbour list in which
     every vertex also lists itself, and adds one unpacked bit per (vertex,
     source) pair still unreached to the distances: O(diam*(V+E)*ceil(V/64))
-    word operations and O(diam*V^2) unpacked bits in all. Besides the V x V
-    result it holds V x ceil(V/64) words of frontier and of unreached
-    sources, (V+2E) x ceil(V/64) gathered words, and a V x V byte array of
-    unpacked bits.
+    word operations and O(diam*V^2) unpacked bits in all. The levels are
+    counted in a V x V array of the smallest unsigned integer type that
+    holds V - 1 (2 B per entry up to 65,536 vertices), which DistanceMatrix
+    converts once to floats, validates and condenses. Besides these it holds
+    V x ceil(V/64) words of frontier and of unreached sources,
+    (V+2E) x ceil(V/64) gathered words, and a V x V byte array of unpacked
+    bits.
 
     Raises DisconnectedGraphError naming vertex 0 and the smallest vertex
     it cannot reach if the graph is not connected.
@@ -350,7 +364,7 @@ def apsp(graph: Graph) -> DistanceMatrix:
     sources = np.arange(-(-n // 64) * 64)
     frontier = _pack_bits(vertices[:, None] == sources)
     unreached = _pack_bits((vertices[:, None] != sources) & (sources < n))
-    d = np.zeros((n, n))
+    d = np.zeros((n, n), dtype=np.min_scalar_type(n - 1))
     while unreached.any():
         d += np.unpackbits(unreached.view(np.uint8), axis=1, count=n, bitorder="little")
         np.bitwise_and(

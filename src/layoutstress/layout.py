@@ -84,22 +84,27 @@ class LayoutDistances:
         return order
 
 
+#: rows of dy^2 that pairwise_distances adds at a time (2 MB at n = 1000)
+_ROW_BLOCK = 256
+
+
 def pairwise_distances(layout: Layout) -> LayoutDistances:
     """Euclidean distance between every vertex pair.
 
-    Computes sqrt(dx^2 + dy^2) in place, so at most two n x n float arrays
-    are alive at once: dx and dy, then the result and the copy that
-    LayoutDistances keeps.
+    Computes sqrt(dx^2 + dy^2) in place, adding dy^2 in blocks of
+    _ROW_BLOCK rows, so the one n x n float array it builds is alive at
+    most together with the copy that LayoutDistances keeps.
     """
-    if layout.n < 2:
-        raise ValueError(f"need at least 2 vertices, got {layout.n}")
+    n = layout.n
+    if n < 2:
+        raise ValueError(f"need at least 2 vertices, got {n}")
     x, y = layout.positions.T
     e = x[:, None] - x
-    dy = y[:, None] - y
     e *= e
-    dy *= dy
-    e += dy
-    del dy
+    for start in range(0, n, _ROW_BLOCK):
+        dy = y[start : start + _ROW_BLOCK, None] - y
+        dy *= dy
+        e[start : start + _ROW_BLOCK] += dy
     np.sqrt(e, out=e)
     return LayoutDistances(e)
 

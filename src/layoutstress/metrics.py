@@ -20,9 +20,12 @@ which two drawings' curves cross (alpha_intersection).
 
 All sums run over unordered pairs i<j in the row-major order of
 graph.upper_pairs; numpy's pairwise accumulation bounds floating-point
-drift. DistanceMatrix.pairs and LayoutDistances.pairs keep that vector for
-the object's lifetime (one C(n, 2) float64 vector, 16 MB at n = 2000), so
-the metrics of one drawing, and the drawings of one graph, share it.
+drift. Each side keeps that vector (one C(n, 2) float64 vector, 16 MB at
+n = 2000) for the object's lifetime: DistanceMatrix.pairs is all a graph's
+distances keep, and LayoutDistances.pairs is cached beside the drawing's
+n x n matrix. The metrics of one drawing, and the drawings of one graph,
+share them, and no metric reads a square matrix. Each sum metric works in
+place in one temporary vector of the same length.
 
 The rank metrics sgs and nms share two cached rank tables the same way:
 LayoutDistances.pair_order, the argsort of the drawing's pairs (int64, 8 B
@@ -106,7 +109,8 @@ def raw_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
     """Unweighted sum of squared differences between e_ij and d_ij."""
     ev, dv = _pair_vectors(e, d)
     diff = ev - dv
-    return float(np.sum(diff * diff))
+    diff *= diff
+    return float(np.sum(diff))
 
 
 def raw_stress_quadratic(e: LayoutDistances, d: DistanceMatrix) -> QuadraticStressForm:
@@ -158,15 +162,20 @@ def kk_stress(
     if l0 <= 0.0:
         raise DegenerateLayoutError("all points coincide; drawing span is zero")
     factor = l0 / float(dv.max())
-    r = (ev - factor * dv) / dv
-    return float(np.sum(r * r))
+    r = factor * dv
+    np.subtract(ev, r, out=r)
+    r /= dv
+    r *= r
+    return float(np.sum(r))
 
 
 def normalized_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
     """Squared differences weighted by d^-2, balancing short and long pairs."""
     ev, dv = _pair_vectors(e, d)
-    r = (ev - dv) / dv
-    return float(np.sum(r * r))
+    r = ev - dv
+    r /= dv
+    r *= r
+    return float(np.sum(r))
 
 
 def ns_quadratic(e: LayoutDistances, d: DistanceMatrix) -> QuadraticStressForm:
@@ -176,12 +185,10 @@ def ns_quadratic(e: LayoutDistances, d: DistanceMatrix) -> QuadraticStressForm:
     """
     ev, dv = _pair_vectors(e, d)
     ratio = ev / dv
+    b = -2.0 * float(np.sum(ratio))
+    ratio *= ratio
     n = e.n
-    return QuadraticStressForm(
-        a=float(np.sum(ratio * ratio)),
-        b=-2.0 * float(np.sum(ratio)),
-        c=n * (n - 1) / 2.0,
-    )
+    return QuadraticStressForm(a=float(np.sum(ratio)), b=b, c=n * (n - 1) / 2.0)
 
 
 def ns_alpha_min(e: LayoutDistances, d: DistanceMatrix) -> float:
@@ -247,8 +254,11 @@ def shepard_constant_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
     if max_e == 0.0:
         raise DegenerateLayoutError("all points coincide; drawing span is zero")
     beta = float(dv.max()) / max_e
-    r = (beta * ev - dv) / dv
-    return float(np.sum(r * r))
+    r = beta * ev
+    r -= dv
+    r /= dv
+    r *= r
+    return float(np.sum(r))
 
 
 def distance_ratio_stress(
@@ -294,8 +304,12 @@ def _nonmetric_from_pairs(ev: np.ndarray, order: np.ndarray, d_keys: np.ndarray)
     # stable sort of uint8 or uint16 codes is a radix sort.
     order = order[np.argsort(d_keys[order], kind="stable")]
     y = ev[order]
-    resid = y - isotonic_regression(y)
-    return float(np.sqrt(np.sum(resid * resid) / np.sum(ev * ev)))
+    del order
+    resid = isotonic_regression(y)
+    np.subtract(y, resid, out=resid)
+    resid *= resid
+    # y's buffer then takes ev * ev, summed in ev's order
+    return float(np.sqrt(np.sum(resid) / np.sum(np.multiply(ev, ev, out=y))))
 
 
 def nonmetric_stress(e: LayoutDistances, d: DistanceMatrix) -> float:

@@ -36,8 +36,15 @@ def ranks_from_order(values: np.ndarray, order: np.ndarray) -> np.ndarray:
     starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
     del sorted_vals
     sizes = np.diff(starts, append=order.size)
+    # in place, so at most three vectors of the number of groups are alive
+    group_ranks = sizes + 1.0
+    group_ranks /= 2.0
+    group_ranks += starts
+    del starts
+    sorted_ranks = np.repeat(group_ranks, sizes)
+    del group_ranks, sizes
     ranks = np.empty(order.size)
-    ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
+    ranks[order] = sorted_ranks
     return ranks
 
 
@@ -66,17 +73,22 @@ def rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
     """Pearson correlation of two equal-length vectors of 1-based average ranks.
 
     Exactly 1 for identical rankings and -1 for exactly mirrored ones.
+    Centres rx and ry in place, so they must be distinct float arrays the
+    caller no longer needs; besides them it holds one vector of products.
     """
     # average ranks are half-integers summing to n(n + 1) / 2, so each mean
-    # is exactly (n + 1) / 2; identical rankings then give dy == dx and
-    # mirrored ones dy == -dx bitwise, and sqrt(fl(S * S)) == S, so the
+    # is exactly (n + 1) / 2; identical rankings then centre to ry == rx and
+    # mirrored ones to ry == -rx bitwise, and sqrt(fl(S * S)) == S, so the
     # quotient below is exactly 1 or -1
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
-    denominator = float(np.sqrt(np.sum(dx * dx) * np.sum(dy * dy)))
+    rx -= rx.mean()
+    ry -= ry.mean()
+    products = rx * rx
+    sxx = np.sum(products)
+    syy = np.sum(np.multiply(ry, ry, out=products))
+    denominator = float(np.sqrt(sxx * syy))
     if denominator == 0.0:
         raise ConstantSeriesError("rank correlation is undefined for a constant series")
-    rho = float(np.sum(dx * dy) / denominator)
+    rho = float(np.sum(np.multiply(rx, ry, out=products)) / denominator)
     return min(1.0, max(-1.0, rho))
 
 

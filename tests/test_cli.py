@@ -303,8 +303,11 @@ class TestExperimentConfigErrors:
             ({"optimizer_iterations": 2.7}, "'optimizer_iterations'"),
             ({"optimizer_iterations": True}, "'optimizer_iterations'"),
             ({"optimizer_iterations": "300"}, "'optimizer_iterations'"),
+            ({"scale_policy": ["as-is"]}, "'scale_policy'"),
+            ({"scale_policy": "nope"}, "'scale_policy'"),
         ],
-        ids=["string_drs_force", "float_iterations", "bool_iterations", "string_iterations"],
+        ids=["string_drs_force", "float_iterations", "bool_iterations", "string_iterations",
+             "list_scale_policy", "unknown_scale_policy"],
     )
     def test_wrong_type_top_level_value_names_key(self, tmp_path, capsys, data, key):
         code, err = self.run_config(tmp_path, capsys, data)
@@ -339,6 +342,13 @@ class TestExperimentConfigErrors:
         code, err = self.run_config(tmp_path, capsys, {"corpus": corpus})
         assert code == 2
         assert err.startswith("input error:") and f"corpus key {key}" in err
+
+    def test_unknown_scale_policy_flag_is_a_usage_error(self, tmp_path, capsys):
+        code = main(["experiment", "--scale-policy", "nope", "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:") and "--scale-policy" in err
+        assert len(err.splitlines()) == 1
 
     def test_negative_seed_flag_names_key(self, tmp_path, capsys):
         code = main(["experiment", "--seed", "-1", "--out-dir", str(tmp_path / "out")])

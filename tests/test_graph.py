@@ -78,6 +78,32 @@ class TestDistanceMatrix:
         assert d.pair_codes.dtype == dtype
         assert d.pair_codes.tolist() == ranks.tolist()
 
+    @pytest.mark.parametrize("n", [2, 64, 129])
+    def test_keeps_only_the_condensed_pairs(self, n):
+        d = apsp(path_graph(n))
+
+        def arrays():
+            return [v for v in vars(d).values() if isinstance(v, np.ndarray)]
+
+        assert sum(a.nbytes for a in arrays()) == 8 * (n * (n - 1) // 2)
+        assert d.pair_codes.nbytes == n * (n - 1) // 2
+        assert all(a.shape != (n, n) for a in arrays())
+
+    def test_square_matrix_is_rebuilt_read_only(self):
+        g = grid_graph(4, 5)
+        d = apsp(g)
+        assert d.d is not d.d
+        assert np.array_equal(d.d, floyd_warshall(g))
+        with pytest.raises(ValueError, match="read-only"):
+            d.d[0, 1] = 9.0
+        assert np.array_equal(DistanceMatrix(d.d).pairs, d.pairs)
+
+    def test_does_not_alias_the_input(self):
+        m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        d = DistanceMatrix(m)
+        m[0, 1] = m[1, 0] = 5.0
+        assert d.pairs.tolist() == [1.0, 2.0, 1.0]
+
     @pytest.mark.parametrize("off", [0.0, -1.0])
     def test_rejects_non_positive_off_diagonal(self, off):
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, off], [2.0, off, 0.0]])

@@ -522,6 +522,16 @@ class TestSharedRankTables:
         for layout in (random_layout(n, 3), circle_layout(n)):
             self._check(pairwise_distances(layout), d)
 
+    def test_inputs_left_unchanged(self):
+        n = 200
+        d = apsp(bench_graph(n, np.random.default_rng(1)))
+        e = pairwise_distances(random_layout(n, 4))
+        arrays = (e.e, e.pairs, e.pair_order, d.pairs, d.pair_codes)
+        before = [a.copy() for a in arrays]
+        first = (shepard_goodness(e, d), nonmetric_stress(e, d))
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+        assert (shepard_goodness(e, d), nonmetric_stress(e, d)) == first
+
 
 def test_scoring_never_imports_numpy_ma():
     # np.unique imports numpy.ma (about 1 MB) on first use; the rank tables

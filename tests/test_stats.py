@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -135,6 +136,15 @@ class TestSpearman:
         assert spearman(xs, xs) == 1.0
         assert spearman(xs, -xs) == -1.0
 
+    def test_inputs_left_unchanged(self):
+        rng = np.random.default_rng(7)
+        xs = rng.normal(size=300)
+        ys = rng.integers(0, 5, size=300).astype(float)
+        xs0, ys0 = xs.copy(), ys.copy()
+        average_ranks(xs)
+        spearman(xs, ys)
+        assert np.array_equal(xs, xs0) and np.array_equal(ys, ys0)
+
     def test_bounded(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
@@ -143,6 +153,39 @@ class TestSpearman:
             if len(set(xs)) == 1 or len(set(ys)) == 1:
                 continue
             assert -1.0 <= spearman(xs, ys) <= 1.0
+
+
+def pava_reference(ys) -> np.ndarray:
+    """Isotonic fit by textbook pool-adjacent-violators: merge the first pair
+    of neighbouring blocks whose means decrease, step back one block, and
+    go on. O(n^2); each block mean divides the correctly rounded sum
+    (math.fsum) by the block's length."""
+    blocks = [[y] for y in map(float, ys)]
+
+    def mean(block):
+        return math.fsum(block) / len(block)
+
+    i = 0
+    while i + 1 < len(blocks):
+        if mean(blocks[i + 1]) < mean(blocks[i]):
+            blocks[i : i + 2] = [blocks[i] + blocks[i + 1]]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return np.concatenate([np.full(len(block), mean(block)) for block in blocks])
+
+
+def _long_pools(seed: int) -> np.ndarray:
+    """Ascending runs of 20 to 300 values, each starting below where the
+    one before it ends, so a block pools long stretches of one run: leftward
+    over the tail above a drop, rightward over the values after it."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    offset = 0.0
+    for _ in range(int(rng.integers(2, 6))):
+        parts.append(offset + np.sort(rng.uniform(0.0, 1.0, size=int(rng.integers(20, 301)))))
+        offset += rng.uniform(-1.5, 0.5)
+    return np.concatenate(parts)
 
 
 class TestIsotonicRegression:
@@ -265,6 +308,30 @@ class TestIsotonicRegression:
         assert np.count_nonzero(ys[1:] < ys[:-1]) == runs - 1
         want = optimize.isotonic_regression(ys).x
         np.testing.assert_allclose(isotonic_regression(ys), want, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "ys",
+        [
+            # one drop after a long run: a leftward pool of 299 values
+            np.concatenate((np.linspace(5.0, 6.0, 300), [0.0])),
+            # one high value before a long run: a rightward pool of about 200
+            np.concatenate(([10.0], np.linspace(0.0, 9.0, 400))),
+            # a long plateau tail above a drop, then a long run below it
+            np.concatenate((np.full(40, 10.0), np.linspace(0.0, 9.0, 100))),
+            *(_long_pools(seed) for seed in range(6)),
+        ],
+        ids=["leftward", "rightward", "both", *(f"runs-{seed}" for seed in range(6))],
+    )
+    def test_long_pools_match_pava_reference(self, ys):
+        # pools of more than _SCALAR_POOL_STEPS values go through the
+        # numpy windows of _pool_run, in both directions
+        np.testing.assert_allclose(isotonic_regression(ys), pava_reference(ys), rtol=0.0, atol=1e-12)
+
+    def test_pava_reference_matches_enumeration(self):
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            ys = rng.integers(0, 4, size=int(rng.integers(1, 8))).astype(float)
+            np.testing.assert_allclose(pava_reference(ys), isotonic_by_enumeration(ys), atol=1e-12)
 
     @pytest.mark.parametrize(
         "ys",
