@@ -23,10 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment as exp
-from .errors import ParseError
-from .graph import Graph, apsp, largest_connected_component, parse_edge_list, parse_matrix_market
+from .graph import Graph, apsp, largest_connected_component, read_graph_file
 from .layout import Layout, pairwise_distances, read_layout_csv
-from .metrics import METRIC_IDS, KKParams, score_layout, stress_curve
+from .metrics import METRIC_IDS, KKParams, check_metric_ids, score_layout, stress_curve
 
 OUT_DIR_ENV = "LAYOUTSTRESS_OUT_DIR"
 
@@ -40,25 +39,16 @@ class _UsageError(Exception):
     pass
 
 
-class _InputError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
         raise _UsageError(message)
 
 
 def _parse_metric_list(text: str) -> tuple[str, ...]:
-    ids = tuple(m.strip() for m in text.split(",") if m.strip())
-    if not ids:
-        raise _UsageError("empty metric list")
-    for metric_id in ids:
-        if metric_id not in METRIC_IDS:
-            raise _UsageError(
-                f"unknown metric id {metric_id!r} (known: {', '.join(METRIC_IDS)})"
-            )
-    return ids
+    try:
+        return check_metric_ids(m.strip() for m in text.split(",") if m.strip())
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _parse_alpha_grid(text: str) -> list[float]:
@@ -102,30 +92,15 @@ def _emit(text: str, out: Path | None) -> None:
 
 def _load_graph(path_text: str) -> tuple[Graph, dict]:
     """Read a graph file and reduce it to its largest connected component."""
-    path = Path(path_text)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise _InputError(f"cannot read graph file {path}: {exc}") from exc
-    try:
-        if path.suffix.lower() in (".mtx", ".mm"):
-            graph = parse_matrix_market(text)
-            loops = dups = 0
-        else:
-            parsed = parse_edge_list(text)
-            graph, loops, dups = parsed.graph, parsed.self_loops_dropped, parsed.duplicates_collapsed
-    except ParseError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
-    if graph.vertex_count == 0:
-        raise _InputError(f"{path}: graph has no vertices")
-    component, new_to_old = largest_connected_component(graph)
+    parsed = read_graph_file(path_text)
+    component, new_to_old = largest_connected_component(parsed.graph)
     info = {
-        "path": str(path),
+        "path": str(Path(path_text)),
         "vertex_count": component.vertex_count,
         "edge_count": component.edge_count,
-        "self_loops_dropped": loops,
-        "duplicates_collapsed": dups,
-        "component_extracted": component.vertex_count != graph.vertex_count,
+        "self_loops_dropped": parsed.self_loops_dropped,
+        "duplicates_collapsed": parsed.duplicates_collapsed,
+        "component_extracted": component.vertex_count != parsed.graph.vertex_count,
         "new_to_old": list(new_to_old),
     }
     return component, info
@@ -134,15 +109,11 @@ def _load_graph(path_text: str) -> tuple[Graph, dict]:
 def _load_layout(path_text: str, graph: Graph) -> Layout:
     path = Path(path_text)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise _InputError(f"cannot read layout file {path}: {exc}") from exc
-    try:
-        layout = read_layout_csv(text)
-    except ParseError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
+        layout = read_layout_csv(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if layout.n != graph.vertex_count:
-        raise _InputError(
+        raise ValueError(
             f"{path}: layout has {layout.n} vertices but the graph (after component"
             f" extraction) has {graph.vertex_count}; ids must be 0..{graph.vertex_count - 1}"
         )
@@ -161,7 +132,7 @@ def _cmd_compute(args) -> int:
     for layout_path in args.layouts:
         name = Path(layout_path).stem
         if name in layouts:
-            raise _InputError(
+            raise ValueError(
                 f"layout files {layouts[name][0]} and {layout_path} share the name {name!r};"
                 " the report keys layouts by file stem"
             )
@@ -247,68 +218,66 @@ _CORPUS_INT_KEYS = ("graphs", "n_min", "n_max", "seed")
 _CONFIG_KEYS = ("corpus", "metrics", "scale_policy", "optimizer_iterations", "drs_force")
 
 
+def _read_config(path: Path) -> exp.ExperimentConfig:
+    """The experiment config in a JSON file; the caller names the file in errors."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = set(data) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
+    corpus_data = data.get("corpus", {})
+    if not isinstance(corpus_data, dict):
+        raise ValueError("'corpus' must be an object")
+    corpus_data = dict(corpus_data)
+    unknown = set(corpus_data) - {*_CORPUS_INT_KEYS, "density", "dir"}
+    if unknown:
+        raise ValueError(f"unknown corpus keys {sorted(unknown)}")
+    for key, value in corpus_data.items():
+        if key == "dir":
+            continue
+        integer = key in _CORPUS_INT_KEYS
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            kind = "an integer" if integer else "a number"
+            raise ValueError(f"corpus key {key!r} must be {kind}, got {value!r}")
+    kwargs = {}
+    corpus_dir = corpus_data.pop("dir", None)
+    if corpus_dir is not None:
+        kwargs["corpus_dir"] = str(corpus_dir)
+    corpus = replace(exp.CorpusSpec(), **corpus_data)
+    if "metrics" in data:
+        if not isinstance(data["metrics"], list):
+            raise ValueError("'metrics' must be a list of metric ids")
+        kwargs["metric_ids"] = check_metric_ids(data["metrics"])
+    if "scale_policy" in data:
+        policy = data["scale_policy"]
+        if policy not in exp.SCALE_POLICIES:
+            raise ValueError(
+                f"'scale_policy' must be one of {', '.join(exp.SCALE_POLICIES)}, got {policy!r}"
+            )
+        kwargs["scale_policy"] = policy
+    if "optimizer_iterations" in data:
+        iterations = data["optimizer_iterations"]
+        if isinstance(iterations, bool) or not isinstance(iterations, int):
+            raise ValueError(f"'optimizer_iterations' must be an integer, got {iterations!r}")
+        kwargs["optimizer_iterations"] = iterations
+    if "drs_force" in data:
+        if not isinstance(data["drs_force"], bool):
+            raise ValueError(f"'drs_force' must be true or false, got {data['drs_force']!r}")
+        kwargs["drs_force"] = data["drs_force"]
+    return replace(exp.ExperimentConfig(), corpus=corpus, **kwargs)
+
+
 def _experiment_config(args) -> exp.ExperimentConfig:
     config = exp.ExperimentConfig()
     if args.config is not None:
         try:
-            raw = Path(args.config).read_text()
-        except OSError as exc:
-            raise _InputError(f"cannot read config file {args.config}: {exc}") from exc
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise _InputError(f"{args.config}: invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise _InputError(f"{args.config}: config must be a JSON object")
-        unknown = set(data) - set(_CONFIG_KEYS)
-        if unknown:
-            raise _InputError(f"{args.config}: unknown config keys {sorted(unknown)}")
-        corpus_data = data.get("corpus", {})
-        if not isinstance(corpus_data, dict):
-            raise _InputError(f"{args.config}: 'corpus' must be an object")
-        corpus_data = dict(corpus_data)
-        unknown = set(corpus_data) - {*_CORPUS_INT_KEYS, "density", "dir"}
-        if unknown:
-            raise _InputError(f"{args.config}: unknown corpus keys {sorted(unknown)}")
-        for key, value in corpus_data.items():
-            if key == "dir":
-                continue
-            integer = key in _CORPUS_INT_KEYS
-            if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-                kind = "an integer" if integer else "a number"
-                raise _InputError(f"{args.config}: corpus key {key!r} must be {kind}, got {value!r}")
-        kwargs = {}
-        corpus_dir = corpus_data.pop("dir", None)
-        if corpus_dir is not None:
-            kwargs["corpus_dir"] = str(corpus_dir)
-        corpus = replace(exp.CorpusSpec(), **corpus_data)
-        if "metrics" in data:
-            metrics = data["metrics"]
-            if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
-                raise _InputError(f"{args.config}: 'metrics' must be a list of metric ids")
-            kwargs["metric_ids"] = _parse_metric_list(",".join(metrics))
-        if "scale_policy" in data:
-            policy = data["scale_policy"]
-            if policy not in exp.SCALE_POLICIES:
-                raise _InputError(
-                    f"{args.config}: 'scale_policy' must be one of"
-                    f" {', '.join(exp.SCALE_POLICIES)}, got {policy!r}"
-                )
-            kwargs["scale_policy"] = policy
-        if "optimizer_iterations" in data:
-            iterations = data["optimizer_iterations"]
-            if isinstance(iterations, bool) or not isinstance(iterations, int):
-                raise _InputError(
-                    f"{args.config}: 'optimizer_iterations' must be an integer, got {iterations!r}"
-                )
-            kwargs["optimizer_iterations"] = iterations
-        if "drs_force" in data:
-            if not isinstance(data["drs_force"], bool):
-                raise _InputError(
-                    f"{args.config}: 'drs_force' must be true or false, got {data['drs_force']!r}"
-                )
-            kwargs["drs_force"] = data["drs_force"]
-        config = replace(config, corpus=corpus, **kwargs)
+            config = _read_config(Path(args.config))
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{args.config}: {exc}") from exc
     if args.seed is not None:
         config = replace(config, corpus=replace(config.corpus, seed=args.seed))
     if args.scale_policy is not None:
@@ -434,9 +403,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (ValueError, OSError) as exc:
         # domain errors (ParseError, size guards, degenerate layouts, ...)
         # and filesystem problems

@@ -22,14 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import (
-    DistanceMatrix,
-    Graph,
-    apsp,
-    largest_connected_component,
-    parse_edge_list,
-    parse_matrix_market,
-)
+from .graph import DistanceMatrix, Graph, apsp, largest_connected_component, read_graph_file
 from .layout import (
     Layout,
     LayoutDistances,
@@ -39,7 +32,7 @@ from .layout import (
     random_layout,
     scale_to_max_distance,
 )
-from .metrics import HIGHER_IS_BETTER, METRIC_IDS, compute_metric, score_layout
+from .metrics import HIGHER_IS_BETTER, METRIC_IDS, check_metric_ids, compute_metric, score_layout
 from .errors import SizeGuardError
 from .stats import average_ranks, spearman
 
@@ -129,9 +122,8 @@ def generate_corpus(spec: CorpusSpec) -> list[tuple[str, Graph]]:
 def load_corpus_dir(directory: Path | str) -> list[tuple[str, Graph]]:
     """User-supplied corpus: every graph file in a directory, sorted by name.
 
-    Matrix Market files by extension (.mtx/.mm), edge lists otherwise; each
-    graph is reduced to its largest connected component. Deterministic
-    ordering by file name.
+    Each file is read by read_graph_file and reduced to its largest
+    connected component.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -140,14 +132,7 @@ def load_corpus_dir(directory: Path | str) -> list[tuple[str, Graph]]:
     for path in sorted(directory.iterdir()):
         if not path.is_file():
             continue
-        text = path.read_text()
-        if path.suffix.lower() in (".mtx", ".mm"):
-            graph = parse_matrix_market(text)
-        else:
-            graph = parse_edge_list(text).graph
-        if graph.vertex_count == 0:
-            raise ValueError(f"{path}: graph has no vertices")
-        component, _ = largest_connected_component(graph)
+        component, _ = largest_connected_component(read_graph_file(path).graph)
         corpus.append((path.stem, component))
     if not corpus:
         raise ValueError(f"corpus directory {directory} holds no graph files")
@@ -221,9 +206,7 @@ def run_trial(
     for name, layout in layouts.items():
         if layout.n != d.n:
             raise ValueError(f"layout {name!r} has {layout.n} vertices, graph has {d.n}")
-    for metric_id in metric_ids:
-        if metric_id not in METRIC_IDS:
-            raise ValueError(f"unknown metric id {metric_id!r}")
+    metric_ids = check_metric_ids(metric_ids)
     sources: dict[str, SourceResult] = {}
     for name, layout in apply_scale_policy(layouts, policy).items():
         e = pairwise_distances(layout)
@@ -412,22 +395,23 @@ def runtime_benchmark(
     drawing pair vector and rank tables are not yet cached: it pays the
     drawing's pair extraction, and sgs and nms their own pair order and
     codes. The graph's pair vector is extracted when its object is built,
-    so no timed call pays for it.
-    drs is refused above BENCH_DRS_MAX_VERTICES unless force is set.
+    so no timed call pays for it. An empty size list and sizes below
+    MIN_CORPUS_VERTICES are refused, and drs above BENCH_DRS_MAX_VERTICES
+    unless force is set.
     """
     sizes = [int(n) for n in sizes]
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
         raise ValueError("sizes must be strictly ascending")
+    if min(sizes, default=0) < MIN_CORPUS_VERTICES:
+        raise ValueError(f"sizes must be >= {MIN_CORPUS_VERTICES}, got {sizes}")
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions, got {repetitions}")
-    for metric_id in metric_ids:
-        if metric_id not in METRIC_IDS:
-            raise ValueError(f"unknown metric id {metric_id!r}")
-        if metric_id == "drs" and not force and max(sizes) > BENCH_DRS_MAX_VERTICES:
-            raise SizeGuardError(
-                f"drs benchmarking is restricted to n <= {BENCH_DRS_MAX_VERTICES};"
-                " pass force to override"
-            )
+    metric_ids = check_metric_ids(metric_ids)
+    if "drs" in metric_ids and not force and max(sizes) > BENCH_DRS_MAX_VERTICES:
+        raise SizeGuardError(
+            f"drs benchmarking is restricted to n <= {BENCH_DRS_MAX_VERTICES};"
+            " pass force to override"
+        )
     rng = np.random.default_rng(seed)
     rows: list[BenchRow] = []
     times: dict[str, list[tuple[float, float]]] = {m: [] for m in metric_ids}

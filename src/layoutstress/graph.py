@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -279,6 +280,26 @@ def parse_matrix_market(text: str) -> Graph:
     if size is None:
         raise ParseError("missing Matrix Market size line")
     return Graph(size[0], tuple(sorted(edges)))
+
+
+def read_graph_file(path) -> ParsedGraph:
+    """Read a graph file: Matrix Market by suffix (.mtx/.mm), else an edge list.
+
+    Raises ParseError naming the file when it cannot be read or decoded as
+    UTF-8, does not parse, or holds no vertices.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+        if path.suffix.lower() in (".mtx", ".mm"):
+            parsed = ParsedGraph(parse_matrix_market(text), 0, 0)
+        else:
+            parsed = parse_edge_list(text)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if parsed.graph.vertex_count == 0:
+        raise ParseError(f"{path}: graph has no vertices")
+    return parsed
 
 
 def connected_components(graph: Graph) -> list[list[int]]:

@@ -322,6 +322,17 @@ def nonmetric_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
     return _nonmetric_from_pairs(ev, e.pair_order, d.pair_codes)
 
 
+def check_metric_ids(ids) -> tuple[str, ...]:
+    """The ids as given, as a tuple; ValueError when empty or one is unknown."""
+    ids = tuple(ids)
+    if not ids:
+        raise ValueError("empty metric list")
+    for metric_id in ids:
+        if metric_id not in METRIC_IDS:
+            raise ValueError(f"unknown metric id {metric_id!r} (known: {', '.join(METRIC_IDS)})")
+    return ids
+
+
 def compute_metric(
     metric_id: str,
     e: LayoutDistances,
@@ -400,8 +411,6 @@ def stress_curve(
     quadratic; a mismatch beyond 1e-9 relative raises RuntimeError. For kks
     without explicit params, l0 is rederived from each scaled drawing.
     """
-    if metric_id not in METRIC_IDS:
-        raise ValueError(f"unknown metric id {metric_id!r} (known: {', '.join(METRIC_IDS)})")
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one scale factor")

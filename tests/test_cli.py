@@ -358,6 +358,45 @@ class TestExperimentConfigErrors:
         assert len(err.splitlines()) == 1
 
 
+P3_EDGES = b"0 1\n1 2\n"
+P3_LAYOUT = b"id,x,y\n0,0.0,0.0\n1,1.0,0.0\n2,2.0,0.0\n"
+
+
+@pytest.mark.parametrize(
+    "files, argv, named",
+    [
+        (
+            {"graphs/a.txt": P3_EDGES, "graphs/b.txt": b"0 1\n1 2 3\n",
+             "c.json": b'{"corpus": {"dir": "graphs"}}'},
+            ["experiment", "c.json"],
+            "b.txt",
+        ),
+        ({"g.txt": b"0 1\n\xff 2\n", "l.csv": P3_LAYOUT}, ["compute", "g.txt", "l.csv"], "g.txt"),
+        ({"g.txt": P3_EDGES, "l.csv": b"id,x,y\n\xff\n"}, ["compute", "g.txt", "l.csv"], "l.csv"),
+        ({"c.json": b'{"metrics": ["ns"]}\xff'}, ["experiment", "c.json"], "c.json"),
+        ({"c.json": b'{"metrics": ["nope"]}'}, ["experiment", "c.json"], "c.json"),
+        ({"c.json": b'{"metrics": ["rs,ns"]}'}, ["experiment", "c.json"], "c.json"),
+        ({"c.json": b'{"metrics": []}'}, ["experiment", "c.json"], "c.json"),
+        ({}, ["bench", "--sizes", "1", "--metrics", "ns"], "got [1]"),
+    ],
+    ids=["malformed_corpus_file", "non_utf8_graph", "non_utf8_layout", "non_utf8_config",
+         "unknown_config_metric", "comma_joined_config_metrics", "empty_config_metrics",
+         "bench_size_below_8"],
+)
+def test_refusal_names_its_input(tmp_path, monkeypatch, capsys, files, argv, named):
+    """Each malformed input ends in exit 2 and one line naming the file or value."""
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(data)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err.startswith("input error:") and named in err
+
+
 class TestUsageAndEnv:
     def test_no_command_exits_1(self):
         assert main([]) == 1

@@ -164,6 +164,8 @@ class TestRunTrial:
         g = path_graph(4)
         with pytest.raises(ValueError, match="layout"):
             run_trial("g", apsp(g), {"random": random_layout(3, 0)}, ("ns",), "as-is")
+        with pytest.raises(ValueError, match="empty metric list"):
+            run_trial("g", apsp(g), {"random": random_layout(4, 0)}, (), "as-is")
 
     def test_alpha_min_recorded(self):
         g = path_graph(5)
@@ -245,6 +247,9 @@ class TestRuntimeBenchmark:
             runtime_benchmark([100, 50], ["ns"], repetitions=3)
         with pytest.raises(ValueError, match="repetitions"):
             runtime_benchmark([10, 20], ["ns"], repetitions=2)
+        for sizes in ([1, 20], []):
+            with pytest.raises(ValueError, match=r"sizes must be >= 8, got \["):
+                runtime_benchmark(sizes, ["drs"], repetitions=3)
         with pytest.raises(ValueError, match="unknown metric"):
             runtime_benchmark([10, 20], ["nope"], repetitions=3)
 

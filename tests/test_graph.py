@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from layoutstress import (
     DisconnectedGraphError,
     DistanceMatrix,
     Graph,
+    LayoutDistances,
     ParseError,
     apsp,
     connected_components,
@@ -17,8 +19,17 @@ from layoutstress import (
     parse_matrix_market,
     serialize_edge_list,
 )
+from layoutstress.graph import read_graph_file
 
 from conftest import complete_graph, cycle_graph, floyd_warshall, gnp_connected, grid_graph, path_graph
+
+
+def _p3_square(*edits) -> np.ndarray:
+    """The path P3's distance matrix with (i, j, value) entries overwritten."""
+    m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    for i, j, value in edits:
+        m[i, j] = value
+    return m
 
 
 class TestGraphType:
@@ -104,11 +115,52 @@ class TestDistanceMatrix:
         m[0, 1] = m[1, 0] = 5.0
         assert d.pairs.tolist() == [1.0, 2.0, 1.0]
 
-    @pytest.mark.parametrize("off", [0.0, -1.0])
-    def test_rejects_non_positive_off_diagonal(self, off):
-        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, off], [2.0, off, 0.0]])
-        with pytest.raises(ValueError, match="off-diagonal distances must be positive"):
-            DistanceMatrix(d)
+    @pytest.mark.parametrize(
+        "cls, m, message",
+        [
+            (DistanceMatrix, _p3_square((1, 2, 0.0), (2, 1, 0.0)), "off-diagonal distances must be positive"),
+            (DistanceMatrix, _p3_square((1, 2, -1.0), (2, 1, -1.0)), "off-diagonal distances must be positive"),
+            (DistanceMatrix, np.zeros((2, 3)), "must be square"),
+            (DistanceMatrix, _p3_square((0, 1, np.nan), (1, 0, np.nan)), "non-finite"),
+            (DistanceMatrix, _p3_square((1, 1, 1.0)), "diagonal must be zero"),
+            (DistanceMatrix, _p3_square((0, 1, 3.0)), "must be symmetric"),
+            (LayoutDistances, np.zeros((2, 3)), "must be square"),
+            (LayoutDistances, _p3_square((0, 1, np.inf), (1, 0, np.inf)), "non-finite"),
+            (LayoutDistances, _p3_square((1, 1, 1.0)), "nonnegative with zero diagonal"),
+            (LayoutDistances, _p3_square((0, 1, 3.0)), "must be symmetric"),
+            (LayoutDistances, _p3_square((1, 2, -1.0), (2, 1, -1.0)), "nonnegative with zero diagonal"),
+        ],
+        ids=["0.0", "-1.0", "non_square", "non_finite", "nonzero_diagonal", "asymmetric",
+             "layout-non_square", "layout-non_finite", "layout-nonzero_diagonal",
+             "layout-asymmetric", "layout-negative"],
+    )
+    def test_rejects_non_positive_off_diagonal(self, cls, m, message):
+        """Every refusal of a malformed square matrix, by DistanceMatrix and by
+        LayoutDistances; the first two cases are the non-positive off-diagonal."""
+        with pytest.raises(ValueError, match=message):
+            cls(m)
+
+
+class TestReadGraphFile:
+    def test_matrix_market_by_suffix(self, tmp_path):
+        path = tmp_path / "g.MM"
+        path.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n1 2\n2 3\n")
+        parsed = read_graph_file(path)
+        assert parsed.graph.edges == ((0, 1), (1, 2))
+        assert (parsed.self_loops_dropped, parsed.duplicates_collapsed) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [(None, "No such file"), (b"0 1\n\xff\n", "can't decode"),
+         (b"0 x\n", "line 1: malformed integer"), (b"# no edges\n", "graph has no vertices")],
+        ids=["missing", "non_utf8", "malformed", "empty"],
+    )
+    def test_refusal_names_the_file(self, tmp_path, data, message):
+        path = tmp_path / "g.txt"
+        if data is not None:
+            path.write_bytes(data)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*{message}"):
+            read_graph_file(path)
 
 
 class TestParseEdgeList:
