@@ -47,6 +47,9 @@ PAPER_LIKE_SPANS = {"optimized": 800.0, "circle": 804.0}
 #: runtime benchmarking caps distance-ratio stress at this size
 BENCH_DRS_MAX_VERTICES = 50
 
+#: a runtime sample times calls until their summed time reaches this floor
+BENCH_SAMPLE_FLOOR_SECONDS = 0.01
+
 DEFAULT_EXPERIMENT_METRICS = ("rs", "kks", "ns", "sns", "sgs", "scs", "nms")
 
 
@@ -388,9 +391,13 @@ def runtime_benchmark(
     seed: int = 0,
     force: bool = False,
 ) -> BenchmarkResult:
-    """Median metric runtimes over graph sizes, plus log-log slopes.
+    """Median per-call metric runtimes over graph sizes, plus log-log slopes.
 
-    One warm-up evaluation per (size, metric) is discarded. Every timed
+    One warm-up evaluation per (size, metric) is discarded. Each repetition
+    takes one sample of every (size, metric) in turn: calls are timed one by
+    one until their summed time reaches BENCH_SAMPLE_FLOOR_SECONDS, and the
+    sample is their mean, so sub-millisecond calls are not timed singly. The
+    graphs and drawings of all sizes are held at once. Every timed
     evaluation gets distance objects built outside the timed region, whose
     drawing pair vector and rank tables are not yet cached: it pays the
     drawing's pair extraction, and sgs and nms their own pair order and
@@ -413,28 +420,32 @@ def runtime_benchmark(
             " pass force to override"
         )
     rng = np.random.default_rng(seed)
-    rows: list[BenchRow] = []
-    times: dict[str, list[tuple[float, float]]] = {m: [] for m in metric_ids}
+    cases = []
     for n in sizes:
-        graph = bench_graph(n, rng)
-        d = apsp(graph)
+        d = apsp(bench_graph(n, rng))
         e = pairwise_distances(random_layout(n, int(rng.integers(2**63))))
         for metric_id in metric_ids:
             compute_metric(metric_id, e, d, force=True)  # warm-up, discarded
-            samples = []
-            for _ in range(repetitions):
+            cases.append((n, metric_id, e, d, []))
+    # one sample per case in each round, so a slow stretch of the machine
+    # falls on every size alike rather than on one size's samples
+    for _ in range(repetitions):
+        for _, metric_id, e, d, samples in cases:
+            calls, spent = 0, 0.0
+            while spent < BENCH_SAMPLE_FLOOR_SECONDS:
                 fresh_e, fresh_d = LayoutDistances(e.e), DistanceMatrix(d.d)
                 t0 = time.perf_counter()
                 compute_metric(metric_id, fresh_e, fresh_d, force=True)
-                samples.append(time.perf_counter() - t0)
-            med = statistics.median(samples)
-            rows.append(BenchRow(n=n, metric_id=metric_id, median_seconds=med))
-            times[metric_id].append((math.log(n), math.log(med)))
+                spent += time.perf_counter() - t0
+                calls += 1
+            samples.append(spent / calls)
+    rows = [BenchRow(n, metric_id, statistics.median(s)) for n, metric_id, _, _, s in cases]
     slopes = {}
-    for metric_id, points in times.items():
+    for metric_id in metric_ids:
+        points = [(math.log(r.n), math.log(r.median_seconds)) for r in rows
+                  if r.metric_id == metric_id]
         if len(points) >= 2:
-            xs = np.array([p[0] for p in points])
-            ys = np.array([p[1] for p in points])
+            xs, ys = np.array(points).T
             slopes[metric_id] = float(np.polyfit(xs, ys, 1)[0])
     return BenchmarkResult(rows=tuple(rows), slopes=slopes)
 

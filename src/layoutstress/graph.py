@@ -167,11 +167,19 @@ class DistanceMatrix:
 
 @dataclass(frozen=True)
 class ParsedGraph:
-    """Result of edge-list parsing, with counts of discarded input lines."""
+    """Result of graph-file parsing, with counts of discarded input entries."""
 
     graph: Graph
     self_loops_dropped: int
     duplicates_collapsed: int
+
+
+def _parsed_graph(vertex_count: int, pairs: list[tuple[int, int]]) -> ParsedGraph:
+    """The graph of the (u, v) pairs as read: self-loops are dropped and
+    repeats of an edge, in either orientation, collapse to one; both counted."""
+    edges = [(u, v) for u, v in pairs if u != v]
+    graph = Graph.from_edges(vertex_count, edges)
+    return ParsedGraph(graph, len(pairs) - len(edges), len(edges) - graph.edge_count)
 
 
 def parse_edge_list(text: str) -> ParsedGraph:
@@ -181,10 +189,8 @@ def parse_edge_list(text: str) -> ParsedGraph:
     Duplicate edges (in either orientation) collapse to one; self-loops are
     dropped and counted. vertex_count is 1 + the largest id seen.
     """
-    edges: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int]] = []
     max_id = -1
-    loops = 0
-    dups = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -201,16 +207,8 @@ def parse_edge_list(text: str) -> ParsedGraph:
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative vertex id in {raw!r}")
         max_id = max(max_id, u, v)
-        if u == v:
-            loops += 1
-            continue
-        edge = (u, v) if u < v else (v, u)
-        if edge in edges:
-            dups += 1
-        else:
-            edges.add(edge)
-    graph = Graph(max_id + 1, tuple(sorted(edges)))
-    return ParsedGraph(graph, self_loops_dropped=loops, duplicates_collapsed=dups)
+        pairs.append((u, v))
+    return _parsed_graph(max_id + 1, pairs)
 
 
 def serialize_edge_list(graph: Graph) -> str:
@@ -222,11 +220,14 @@ _MM_FIELDS = {"real", "integer", "pattern"}
 _MM_SYMMETRIES = {"general", "symmetric", "skew-symmetric"}
 
 
-def parse_matrix_market(text: str) -> Graph:
+def parse_matrix_market(text: str) -> ParsedGraph:
     """Interpret a Matrix Market coordinate file as an undirected graph.
 
     One vertex per row/column index; every off-diagonal nonzero becomes an
-    edge (symmetrized); diagonal entries and numeric values are ignored.
+    edge (symmetrized), and diagonal entries and numeric values are ignored.
+    Loops and duplicates are counted as in parse_edge_list, so the transpose
+    of an entry already read counts as a duplicate. The number of entries
+    must match the size line's nnz.
     """
     lines = iter(enumerate(text.splitlines(), start=1))
     try:
@@ -247,7 +248,7 @@ def parse_matrix_market(text: str) -> Graph:
         raise ParseError(f"unsupported Matrix Market symmetry {symmetry!r}")
 
     size: tuple[int, int, int] | None = None
-    edges: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int]] = []
     for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("%"):
@@ -262,7 +263,7 @@ def parse_matrix_market(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: malformed size line {raw!r}") from None
             if rows != cols:
                 raise ParseError(f"matrix is {rows}x{cols}; only square matrices map to graphs")
-            size = (rows, cols, nnz)
+            size = (rows, nnz, lineno)
             continue
         if len(tokens) < 2:
             raise ParseError(f"line {lineno}: expected 'i j [value]' entry")
@@ -273,13 +274,15 @@ def parse_matrix_market(text: str) -> Graph:
         n = size[0]
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(f"line {lineno}: entry ({i}, {j}) outside {n}x{n} matrix")
-        if i == j:
-            continue
-        u, v = i - 1, j - 1
-        edges.add((u, v) if u < v else (v, u))
+        pairs.append((i - 1, j - 1))
     if size is None:
         raise ParseError("missing Matrix Market size line")
-    return Graph(size[0], tuple(sorted(edges)))
+    n, nnz, size_lineno = size
+    if len(pairs) != nnz:
+        raise ParseError(
+            f"line {size_lineno}: size line declares {nnz} entries, file has {len(pairs)}"
+        )
+    return _parsed_graph(n, pairs)
 
 
 def read_graph_file(path) -> ParsedGraph:
@@ -292,7 +295,7 @@ def read_graph_file(path) -> ParsedGraph:
     try:
         text = path.read_text(encoding="utf-8")
         if path.suffix.lower() in (".mtx", ".mm"):
-            parsed = ParsedGraph(parse_matrix_market(text), 0, 0)
+            parsed = parse_matrix_market(text)
         else:
             parsed = parse_edge_list(text)
     except (OSError, ValueError) as exc:

@@ -14,9 +14,10 @@ distances d_ij, identified by stable string ids:
   nms  non-metric stress          Kruskal stress-1 against
                                   isotonic disparities        scale-invariant
 
-rs and ns are quadratic polynomials in a uniform scale factor alpha, which
-gives closed forms for the optimal scale (alpha_min) and for the scale at
-which two drawings' curves cross (alpha_intersection).
+rs and ns are quadratic polynomials in a uniform scale factor alpha. A
+drawing's QuadraticStressForm owns the closed forms: the optimal scale
+(alpha_min), the stress there (minimum, which is sns for the ns quadratic)
+and the scale at which two drawings' curves cross (crossing, alpha*).
 
 All sums run over unordered pairs i<j in the row-major order of
 graph.upper_pairs; numpy's pairwise accumulation bounds floating-point
@@ -74,6 +75,25 @@ class QuadraticStressForm:
         if self.a <= 0.0:
             raise DegenerateLayoutError("all points coincide; optimal scale is undefined")
         return -self.b / (2.0 * self.a)
+
+    @property
+    def minimum(self) -> float:
+        """c - (b/2)^2 / a, the stress at alpha_min, with fp wobble below 0 clamped."""
+        if self.a <= 0.0:
+            raise DegenerateLayoutError("all points coincide; optimal scale is undefined")
+        half_b = self.b / 2.0
+        return max(self.c - half_b * half_b / self.a, 0.0)
+
+    def crossing(self, other: QuadraticStressForm) -> float | None:
+        """Positive alpha where this curve meets other's (symmetric); None when
+        the leading coefficients agree to 1e-12 relative or the root is not positive."""
+        if min(self.a, other.a) <= 0.0:
+            raise DegenerateLayoutError("degenerate drawing: all points coincide")
+        den = self.a - other.a
+        if abs(den) < 1e-12 * max(self.a, other.a):
+            return None
+        alpha = (other.b - self.b) / den
+        return alpha if alpha > 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -136,17 +156,7 @@ def rs_alpha_intersection(
     Returns None when the curves share their leading coefficient (to within
     1e-12 relative) or when the crossing is not at a positive scale.
     """
-    ev1, dv = _pair_vectors(e1, d)
-    ev2, _ = _pair_vectors(e2, d)
-    scale = float(np.sum(ev1 * ev1))
-    if scale == 0.0 or not np.any(ev2):
-        raise DegenerateLayoutError("degenerate drawing: all points coincide")
-    num = 2.0 * float(np.sum(dv * (ev1 - ev2)))
-    den = float(np.sum(ev1 * ev1 - ev2 * ev2))
-    if abs(den) < 1e-12 * scale:
-        return None
-    alpha = num / den
-    return alpha if alpha > 0.0 else None
+    return raw_stress_quadratic(e1, d).crossing(raw_stress_quadratic(e2, d))
 
 
 def kk_stress(
@@ -200,19 +210,7 @@ def ns_alpha_intersection(
     e1: LayoutDistances, e2: LayoutDistances, d: DistanceMatrix
 ) -> float | None:
     """Positive scale where two drawings' normalized-stress curves cross."""
-    ev1, dv = _pair_vectors(e1, d)
-    ev2, _ = _pair_vectors(e2, d)
-    r1 = ev1 / dv
-    r2 = ev2 / dv
-    scale = float(np.sum(r1 * r1))
-    if scale == 0.0 or not np.any(ev2):
-        raise DegenerateLayoutError("degenerate drawing: all points coincide")
-    num = 2.0 * float(np.sum((ev1 - ev2) / dv))
-    den = float(np.sum(r1 * r1 - r2 * r2))
-    if abs(den) < 1e-12 * scale:
-        return None
-    alpha = num / den
-    return alpha if alpha > 0.0 else None
+    return ns_quadratic(e1, d).crossing(ns_quadratic(e2, d))
 
 
 def scale_normalized_stress(e: LayoutDistances, d: DistanceMatrix) -> ScaleAnalysis:
@@ -221,11 +219,7 @@ def scale_normalized_stress(e: LayoutDistances, d: DistanceMatrix) -> ScaleAnaly
     Costs O(n^2), the same as a single normalized-stress evaluation.
     """
     quad = ns_quadratic(e, d)
-    alpha = quad.alpha_min
-    num = quad.b / -2.0  # exactly sum(e/d): b is -2 times it
-    # c - num^2/a is mathematically >= 0; clamp fp wobble at perfection
-    value = max(quad.c - num * num / quad.a, 0.0)
-    return ScaleAnalysis(alpha_min=alpha, stress_at_min=value)
+    return ScaleAnalysis(quad.alpha_min, quad.minimum)
 
 
 def shepard_goodness(e: LayoutDistances, d: DistanceMatrix) -> float:

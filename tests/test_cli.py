@@ -378,10 +378,16 @@ P3_LAYOUT = b"id,x,y\n0,0.0,0.0\n1,1.0,0.0\n2,2.0,0.0\n"
         ({"c.json": b'{"metrics": ["rs,ns"]}'}, ["experiment", "c.json"], "c.json"),
         ({"c.json": b'{"metrics": []}'}, ["experiment", "c.json"], "c.json"),
         ({}, ["bench", "--sizes", "1", "--metrics", "ns"], "got [1]"),
+        (
+            {"d.mtx": b"%%MatrixMarket matrix coordinate pattern general\n3 3 5\n1 2\n2 3\n1 1\n",
+             "l.csv": P3_LAYOUT},
+            ["compute", "d.mtx", "l.csv"],
+            "d.mtx: line 2: size line",
+        ),
     ],
     ids=["malformed_corpus_file", "non_utf8_graph", "non_utf8_layout", "non_utf8_config",
          "unknown_config_metric", "comma_joined_config_metrics", "empty_config_metrics",
-         "bench_size_below_8"],
+         "bench_size_below_8", "truncated_matrix_market"],
 )
 def test_refusal_names_its_input(tmp_path, monkeypatch, capsys, files, argv, named):
     """Each malformed input ends in exit 2 and one line naming the file or value."""

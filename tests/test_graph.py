@@ -149,6 +149,11 @@ class TestReadGraphFile:
         assert parsed.graph.edges == ((0, 1), (1, 2))
         assert (parsed.self_loops_dropped, parsed.duplicates_collapsed) == (0, 0)
 
+    def test_matrix_market_reports_dropped_loop(self, tmp_path):
+        path = tmp_path / "d.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate pattern general\n3 3 3\n1 2\n2 3\n1 1\n")
+        assert read_graph_file(path).self_loops_dropped == 1
+
     @pytest.mark.parametrize(
         "data, message",
         [(None, "No such file"), (b"0 1\n\xff\n", "can't decode"),
@@ -209,18 +214,18 @@ class TestParseEdgeList:
 class TestParseMatrixMarket:
     def test_pattern_symmetric_path(self):
         text = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n1 2\n2 3\n"
-        g = parse_matrix_market(text)
+        g = parse_matrix_market(text).graph
         assert g.vertex_count == 3
         assert g.edges == ((0, 1), (1, 2))
 
     def test_symmetrization(self):
         text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 5.0\n1 2 7.5\n"
-        g = parse_matrix_market(text)
+        g = parse_matrix_market(text).graph
         assert g.edges == ((0, 1),)
 
     def test_diagonal_ignored(self):
         text = "%%MatrixMarket matrix coordinate integer general\n4 4 4\n1 1 1\n2 2 1\n3 3 1\n4 4 1\n"
-        g = parse_matrix_market(text)
+        g = parse_matrix_market(text).graph
         assert g.vertex_count == 4
         assert g.edges == ()
 
@@ -236,11 +241,25 @@ class TestParseMatrixMarket:
 
     def test_comments_skipped(self):
         text = "%%MatrixMarket matrix coordinate pattern general\n% a comment\n3 3 1\n1 3\n"
-        assert parse_matrix_market(text).edges == ((0, 2),)
+        assert parse_matrix_market(text).graph.edges == ((0, 2),)
 
     def test_entry_out_of_bounds(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_matrix_market("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 5\n")
+
+    def test_loops_and_duplicates_counted(self):
+        text = "%%MatrixMarket matrix coordinate pattern general\n3 3 5\n1 2\n2 3\n1 1\n2 1\n3 3\n"
+        parsed = parse_matrix_market(text)
+        assert parsed.graph.edges == ((0, 1), (1, 2))
+        assert (parsed.self_loops_dropped, parsed.duplicates_collapsed) == (2, 1)
+
+    @pytest.mark.parametrize("entries", ["1 2\n2 3\n1 1\n", "1 2\n2 3\n1 1\n1 3\n2 1\n3 2\n"],
+                             ids=["truncated", "excess"])
+    def test_entry_count_must_match_size_line(self, entries):
+        text = f"%%MatrixMarket matrix coordinate pattern general\n% c\n3 3 5\n{entries}"
+        found = entries.count("\n")
+        with pytest.raises(ParseError, match=f"^line 3: size line declares 5 entries, file has {found}$"):
+            parse_matrix_market(text)
 
 
 class TestLargestComponent:

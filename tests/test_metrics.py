@@ -141,6 +141,40 @@ class TestQuadraticForms:
                 assert _rel_close(raw_stress(se, d), qr.evaluate(alpha), 1e-9)
                 assert _rel_close(normalized_stress(se, d), qn.evaluate(alpha), 1e-9)
 
+    @pytest.mark.parametrize("quad_fn", [raw_stress_quadratic, ns_quadratic])
+    def test_crossing_symmetric_bitwise(self, quad_fn):
+        rng = np.random.default_rng(13)
+        crossed = 0
+        for _ in range(50):
+            _, d, lay1 = random_instance(rng)
+            lay2 = Layout(rng.random((d.n, 2)) * rng.uniform(0.5, 20.0))
+            q1, q2 = quad_fn(pairwise_distances(lay1), d), quad_fn(pairwise_distances(lay2), d)
+            alpha = q1.crossing(q2)
+            assert alpha == q2.crossing(q1)
+            crossed += alpha is not None
+        assert crossed >= 10
+
+    @pytest.mark.parametrize("quad_fn", [raw_stress_quadratic, ns_quadratic])
+    def test_crossing_identical_none_collapsed_raises(self, p3, quad_fn):
+        q = quad_fn(p3["e_doubled"], p3["d"])
+        assert q.crossing(quad_fn(p3["e_doubled"], p3["d"])) is None
+        collapsed = quad_fn(as_layout_distances(np.zeros((3, 3))), p3["d"])
+        for first, second in ((q, collapsed), (collapsed, q)):
+            with pytest.raises(DegenerateLayoutError):
+                first.crossing(second)
+        with pytest.raises(DegenerateLayoutError):
+            collapsed.minimum
+
+    def test_minimum_is_sns_and_reevaluated_rs(self):
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            _, d, layout = random_instance(rng)
+            e = pairwise_distances(layout)
+            assert ns_quadratic(e, d).minimum == scale_normalized_stress(e, d).stress_at_min
+            q = raw_stress_quadratic(e, d)
+            direct = raw_stress(pairwise_distances(scale_layout(layout, q.alpha_min)), d)
+            assert abs(q.minimum - direct) <= 1e-9 * abs(direct)
+
 
 class TestAlphaMin:
     def test_perfect_layout_alpha_one(self, p3):
