@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +82,18 @@ def _resolve_out(path_text: str | None) -> Path | None:
     return path
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _csv_cell(value) -> str:
+    return "" if value is None else value if isinstance(value, str) else repr(value)
+
+
+def _write_report(args, report: dict, rows: list[tuple]) -> None:
+    """Write the JSON report or the CSV rows (header first), as args.format
+    asks, to args.out or stdout."""
+    if args.format == "json":
+        text = json.dumps(report, indent=2) + "\n"
+    else:
+        text = "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    out = _resolve_out(args.out)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -156,31 +167,23 @@ def _cmd_compute(args) -> int:
         # before the next drawing builds its own
         del e
 
-    out = _resolve_out(args.out)
-    if args.format == "json":
-        report = {
-            "command": "compute",
-            "config": {
-                "graph": args.graph,
-                "layouts": list(args.layouts),
-                "metrics": list(metric_ids),
-                "l0": args.l0,
-                "force": args.force,
-            },
-            "graph": graph_info,
-            "layouts": report_layouts,
-        }
-        _emit(json.dumps(report, indent=2) + "\n", out)
-    else:
-        lines = ["layout,metric,value,alpha_min,seconds"]
-        for name, entry in report_layouts.items():
-            for metric_id, cell in entry["metrics"].items():
-                alpha = cell["alpha_min"]
-                alpha_text = "" if alpha is None else repr(alpha)
-                lines.append(
-                    f"{name},{metric_id},{cell['value']!r},{alpha_text},{cell['seconds']!r}"
-                )
-        _emit("\n".join(lines) + "\n", out)
+    report = {
+        "command": "compute",
+        "config": {
+            "graph": args.graph,
+            "layouts": list(args.layouts),
+            "metrics": list(metric_ids),
+            "l0": args.l0,
+            "force": args.force,
+        },
+        "graph": graph_info,
+        "layouts": report_layouts,
+    }
+    rows = [("layout", "metric", "value", "alpha_min", "seconds")]
+    for name, entry in report_layouts.items():
+        for metric_id, cell in entry["metrics"].items():
+            rows.append((name, metric_id, cell["value"], cell["alpha_min"], cell["seconds"]))
+    _write_report(args, report, rows)
     return EXIT_OK
 
 
@@ -194,32 +197,27 @@ def _cmd_curve(args) -> int:
     kk_params = KKParams(args.l0) if args.l0 is not None else None
     d = apsp(graph)
     points = stress_curve(layout, d, metric_ids[0], alphas, kk_params=kk_params, force=args.force)
-    out = _resolve_out(args.out)
-    if args.format == "json":
-        report = {
-            "command": "curve",
-            "config": {
-                "graph": args.graph,
-                "layout": args.layout,
-                "metric": metric_ids[0],
-                "alpha_grid": args.alpha_grid,
-                "l0": args.l0,
-            },
-            "points": [[a, v] for a, v in points],
-        }
-        _emit(json.dumps(report, indent=2) + "\n", out)
-    else:
-        lines = ["alpha,value"] + [f"{a!r},{v!r}" for a, v in points]
-        _emit("\n".join(lines) + "\n", out)
+    report = {
+        "command": "curve",
+        "config": {
+            "graph": args.graph,
+            "layout": args.layout,
+            "metric": metric_ids[0],
+            "alpha_grid": args.alpha_grid,
+            "l0": args.l0,
+        },
+        "points": [[a, v] for a, v in points],
+    }
+    _write_report(args, report, [("alpha", "value"), *points])
     return EXIT_OK
 
 
-_CORPUS_INT_KEYS = ("graphs", "n_min", "n_max", "seed")
 _CONFIG_KEYS = ("corpus", "metrics", "scale_policy", "optimizer_iterations", "drs_force")
 
 
 def _read_config(path: Path) -> exp.ExperimentConfig:
-    """The experiment config in a JSON file; the caller names the file in errors."""
+    """The experiment config in a JSON file; the caller names the file in errors.
+    Only the JSON shape is checked here; ExperimentConfig checks the values."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -229,46 +227,21 @@ def _read_config(path: Path) -> exp.ExperimentConfig:
     unknown = set(data) - set(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
-    corpus_data = data.get("corpus", {})
-    if not isinstance(corpus_data, dict):
+    corpus = data.pop("corpus", {})
+    if not isinstance(corpus, dict):
         raise ValueError("'corpus' must be an object")
-    corpus_data = dict(corpus_data)
-    unknown = set(corpus_data) - {*_CORPUS_INT_KEYS, "density", "dir"}
+    unknown = set(corpus) - {f.name for f in fields(exp.CorpusSpec)} - {"dir"}
     if unknown:
         raise ValueError(f"unknown corpus keys {sorted(unknown)}")
-    for key, value in corpus_data.items():
-        if key == "dir":
-            continue
-        integer = key in _CORPUS_INT_KEYS
-        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-            kind = "an integer" if integer else "a number"
-            raise ValueError(f"corpus key {key!r} must be {kind}, got {value!r}")
-    kwargs = {}
-    corpus_dir = corpus_data.pop("dir", None)
-    if corpus_dir is not None:
-        kwargs["corpus_dir"] = str(corpus_dir)
-    corpus = replace(exp.CorpusSpec(), **corpus_data)
+    corpus_dir = corpus.pop("dir", None)
+    corpus = exp.CorpusSpec(**corpus)
     if "metrics" in data:
         if not isinstance(data["metrics"], list):
             raise ValueError("'metrics' must be a list of metric ids")
-        kwargs["metric_ids"] = check_metric_ids(data["metrics"])
-    if "scale_policy" in data:
-        policy = data["scale_policy"]
-        if policy not in exp.SCALE_POLICIES:
-            raise ValueError(
-                f"'scale_policy' must be one of {', '.join(exp.SCALE_POLICIES)}, got {policy!r}"
-            )
-        kwargs["scale_policy"] = policy
-    if "optimizer_iterations" in data:
-        iterations = data["optimizer_iterations"]
-        if isinstance(iterations, bool) or not isinstance(iterations, int):
-            raise ValueError(f"'optimizer_iterations' must be an integer, got {iterations!r}")
-        kwargs["optimizer_iterations"] = iterations
-    if "drs_force" in data:
-        if not isinstance(data["drs_force"], bool):
-            raise ValueError(f"'drs_force' must be true or false, got {data['drs_force']!r}")
-        kwargs["drs_force"] = data["drs_force"]
-    return replace(exp.ExperimentConfig(), corpus=corpus, **kwargs)
+        data["metric_ids"] = data.pop("metrics")
+    return exp.ExperimentConfig(
+        corpus=corpus, corpus_dir=None if corpus_dir is None else str(corpus_dir), **data
+    )
 
 
 def _experiment_config(args) -> exp.ExperimentConfig:
@@ -315,30 +288,24 @@ def _cmd_bench(args) -> int:
     result = exp.runtime_benchmark(
         sizes, metric_ids, repetitions=args.reps, seed=args.seed, force=args.force
     )
-    out = _resolve_out(args.out)
-    if args.format == "json":
-        report = {
-            "command": "bench",
-            "config": {
-                "sizes": sizes,
-                "metrics": list(metric_ids),
-                "reps": args.reps,
-                "seed": args.seed,
-            },
-            "rows": [
-                {"n": r.n, "metric": r.metric_id, "median_seconds": r.median_seconds}
-                for r in result.rows
-            ],
-            "slopes": result.slopes,
-        }
-        _emit(json.dumps(report, indent=2) + "\n", out)
-    else:
-        lines = ["n,metric,median_seconds,loglog_slope"]
-        for row in result.rows:
-            slope = result.slopes.get(row.metric_id)
-            slope_text = "" if slope is None else repr(slope)
-            lines.append(f"{row.n},{row.metric_id},{row.median_seconds!r},{slope_text}")
-        _emit("\n".join(lines) + "\n", out)
+    report = {
+        "command": "bench",
+        "config": {
+            "sizes": sizes,
+            "metrics": list(metric_ids),
+            "reps": args.reps,
+            "seed": args.seed,
+        },
+        "rows": [
+            {"n": r.n, "metric": r.metric_id, "median_seconds": r.median_seconds}
+            for r in result.rows
+        ],
+        "slopes": result.slopes,
+    }
+    rows = [("n", "metric", "median_seconds", "loglog_slope")]
+    for r in result.rows:
+        rows.append((r.n, r.metric_id, r.median_seconds, result.slopes.get(r.metric_id)))
+    _write_report(args, report, rows)
     return EXIT_OK
 
 

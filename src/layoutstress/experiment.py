@@ -13,10 +13,13 @@ the spans real layout engines emit; "as-is" leaves every layout untouched.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 import statistics
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -60,6 +63,14 @@ DEFAULT_EXPERIMENT_METRICS = ("rs", "kks", "ns", "sns", "sgs", "scs", "nms")
 MIN_CORPUS_VERTICES = 8
 
 
+def _integer(label: str, value) -> int:
+    """value as an int, which the summary JSON can hold (a numpy integer it
+    cannot); ValueError naming label unless value is an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     """Deterministic desk-scale corpus of connected sparse graphs."""
@@ -71,6 +82,10 @@ class CorpusSpec:
     seed: int = 97
 
     def __post_init__(self) -> None:
+        for key in ("graphs", "n_min", "n_max", "seed"):
+            object.__setattr__(self, key, _integer(f"corpus key {key!r}", getattr(self, key)))
+        if isinstance(self.density, bool) or not isinstance(self.density, numbers.Real):
+            raise ValueError(f"corpus key 'density' must be a number, got {self.density!r}")
         # graphs <= 0 is left to run_experiment, which refuses an empty corpus
         for key, valid, need in (
             ("n_min", self.n_min >= MIN_CORPUS_VERTICES, f">= {MIN_CORPUS_VERTICES}"),
@@ -283,28 +298,21 @@ def order_frequencies(records, sources=LAYOUT_SOURCES) -> OrderFrequencyTable:
     pair_counts: dict[str, dict[tuple[str, str], int]] = {}
     tie_counts: dict[str, int] = {}
     for metric_id in metric_ids:
-        triples: dict[tuple[str, ...], int] = {}
-        pairs: dict[tuple[str, str], int] = {}
+        perms = []
         ties = 0
-        eligible = 0
         for record in records:
             values = {
                 src: _adjusted(metric_id, record.sources[src].scores[metric_id])
                 for src in sources
             }
-            eligible += 1
             if len(set(values.values())) < len(sources):
                 ties += 1
-            perm = tuple(sorted(sources, key=lambda s: (values[s], s)))
-            triples[perm] = triples.get(perm, 0) + 1
-            for a in sources:
-                for b in sources:
-                    if a < b:
-                        winner, loser = (a, b) if (values[a], a) < (values[b], b) else (b, a)
-                        pairs[(winner, loser)] = pairs.get((winner, loser), 0) + 1
-        totals[metric_id] = eligible
-        triple_counts[metric_id] = triples
-        pair_counts[metric_id] = pairs
+            perms.append(tuple(sorted(sources, key=lambda s: (values[s], s))))
+        totals[metric_id] = len(records)
+        triple_counts[metric_id] = dict(Counter(perms))
+        # each ordering runs best to worst, so each pair it yields is (winner, loser)
+        pairs = (pair for perm in perms for pair in itertools.combinations(perm, 2))
+        pair_counts[metric_id] = dict(Counter(pairs))
         tie_counts[metric_id] = ties
     return OrderFrequencyTable(
         sources=tuple(sources),
@@ -456,6 +464,8 @@ def runtime_benchmark(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """What run_experiment runs; a bad field raises ValueError when built."""
+
     corpus: CorpusSpec = field(default_factory=CorpusSpec)
     # when set, graphs come from files in this directory instead of the
     # generator; corpus.seed still drives the layout randomness
@@ -466,6 +476,19 @@ class ExperimentConfig:
     # optimized source to be convincingly converged, not merely improved
     optimizer_iterations: int = 300
     drs_force: bool = False
+
+    def __post_init__(self) -> None:
+        if isinstance(self.metric_ids, str):
+            raise ValueError(f"'metric_ids' must be a list of metric ids, got {self.metric_ids!r}")
+        # a generator is used up here once, not by the first trial
+        object.__setattr__(self, "metric_ids", check_metric_ids(self.metric_ids))
+        if self.scale_policy not in SCALE_POLICIES:
+            need = f"one of {', '.join(SCALE_POLICIES)}"
+            raise ValueError(f"'scale_policy' must be {need}, got {self.scale_policy!r}")
+        iterations = _integer("'optimizer_iterations'", self.optimizer_iterations)
+        object.__setattr__(self, "optimizer_iterations", iterations)
+        if not isinstance(self.drs_force, bool):
+            raise ValueError(f"'drs_force' must be true or false, got {self.drs_force!r}")
 
 
 @dataclass(frozen=True)

@@ -71,15 +71,6 @@ class Graph:
             neighbors[v].append(u)
         return tuple(tuple(sorted(ns)) for ns in neighbors)
 
-    @cached_property
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_set
-
 
 @lru_cache(maxsize=128)
 def _triu(n: int) -> np.ndarray:
@@ -105,9 +96,10 @@ class DistanceMatrix:
     Built from a symmetric n x n matrix with a zero diagonal, which is
     validated and then dropped: the object keeps n and the read-only pair
     vector, one C(n, 2) float64 vector (16 MB at n = 2000), about half the
-    bytes of the square matrix. The metrics read only the pair vector and
-    the rank table pair_codes; d rebuilds the square matrix for the callers
-    that want one.
+    bytes of the square matrix. An integer or float array is validated in
+    its own dtype, and only its pairs are converted to float64. The metrics
+    read only the pair vector and the rank table pair_codes; d rebuilds the
+    square matrix for the callers that want one.
     """
 
     square: InitVar[np.ndarray]
@@ -115,7 +107,10 @@ class DistanceMatrix:
     pairs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, square) -> None:
-        d = np.asarray(square, dtype=float)
+        if isinstance(square, np.ndarray) and square.dtype.kind in "iuf":
+            d = square
+        else:
+            d = np.asarray(square, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
@@ -129,7 +124,9 @@ class DistanceMatrix:
             raise ValueError("off-diagonal distances must be positive")
         object.__setattr__(self, "n", d.shape[0])
         # upper_pairs copies, so the caller's matrix is not kept
-        object.__setattr__(self, "pairs", upper_pairs(d))
+        pairs = upper_pairs(d).astype(float, copy=False)
+        pairs.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def d(self) -> np.ndarray:
@@ -366,8 +363,8 @@ def apsp(graph: Graph) -> DistanceMatrix:
     word operations and O(diam*V^2) unpacked bits in all. The levels are
     counted in a V x V array of the smallest unsigned integer type that
     holds V - 1 (2 B per entry up to 65,536 vertices), which DistanceMatrix
-    converts once to floats, validates and condenses. Besides these it holds
-    V x ceil(V/64) words of frontier and of unreached sources,
+    validates in that type and condenses to float64 pairs. Besides these it
+    holds V x ceil(V/64) words of frontier and of unreached sources,
     (V+2E) x ceil(V/64) gathered words, and a V x V byte array of unpacked
     bits.
 

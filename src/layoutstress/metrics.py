@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantSeriesError, DegenerateLayoutError, SizeGuardError
+from .errors import DegenerateLayoutError, SizeGuardError
 from .graph import DistanceMatrix
 from .layout import Layout, LayoutDistances, pairwise_distances, scale_layout
 from .stats import isotonic_regression, rank_correlation, ranks_from_codes, ranks_from_order
@@ -231,10 +231,7 @@ def shepard_goodness(e: LayoutDistances, d: DistanceMatrix) -> float:
     if e.n < 3:
         raise ValueError(f"need at least 3 vertices for a rank correlation, got {e.n}")
     ev, _ = _pair_vectors(e, d)
-    order, codes = e.pair_order, d.pair_codes
-    if ev[order[0]] == ev[order[-1]] or codes.max() == 0:
-        raise ConstantSeriesError("rank correlation is undefined for a constant series")
-    return rank_correlation(ranks_from_order(ev, order), ranks_from_codes(codes))
+    return rank_correlation(ranks_from_order(ev, e.pair_order), ranks_from_codes(d.pair_codes))
 
 
 def shepard_constant_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
@@ -374,17 +371,18 @@ def score_layout(
 ) -> tuple[dict[str, tuple[float, float | None, float]], tuple[str, ...]]:
     """Score one drawing: {metric_id: (value, alpha_min, seconds)}, skipped ids.
 
-    seconds times the metric alone. drs is skipped when the drawing has
-    more than DRS_MAX_VERTICES vertices and force is not set.
+    seconds times the metric alone. drs is skipped when distance_ratio_stress
+    refuses it (SizeGuardError: too many vertices and force not set).
     """
     scores: dict[str, tuple[float, float | None, float]] = {}
     skipped: list[str] = []
     for metric_id in metric_ids:
-        if metric_id == "drs" and e.n > DRS_MAX_VERTICES and not force:
+        t0 = time.perf_counter()
+        try:
+            value = compute_metric(metric_id, e, d, kk_params=kk_params, force=force)
+        except SizeGuardError:
             skipped.append(metric_id)
             continue
-        t0 = time.perf_counter()
-        value = compute_metric(metric_id, e, d, kk_params=kk_params, force=force)
         seconds = time.perf_counter() - t0
         scores[metric_id] = (value, metric_alpha_min(metric_id, e, d), seconds)
     return scores, tuple(skipped)

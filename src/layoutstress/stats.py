@@ -64,15 +64,14 @@ def spearman(xs, ys) -> float:
         raise ValueError(f"series must be equal-length 1D, got {x.shape} and {y.shape}")
     if x.size < 2:
         raise ValueError("need at least 2 observations")
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        raise ConstantSeriesError("rank correlation is undefined for a constant series")
     return rank_correlation(average_ranks(x), average_ranks(y))
 
 
 def rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
     """Pearson correlation of two equal-length vectors of 1-based average ranks.
 
-    Exactly 1 for identical rankings and -1 for exactly mirrored ones.
+    Exactly 1 for identical rankings and -1 for exactly mirrored ones;
+    ConstantSeriesError when either ranking is constant.
     Centres rx and ry in place, so they must be distinct float arrays the
     caller no longer needs; besides them it holds one vector of products.
     """

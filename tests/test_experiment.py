@@ -107,6 +107,51 @@ class TestCorpus:
         ]
 
 
+class TestConfigChecks:
+    """ExperimentConfig and CorpusSpec refuse a bad field when built."""
+
+    @pytest.mark.parametrize(
+        "cls, kwargs, named",
+        [
+            (ExperimentConfig, {"metric_ids": ("nope",)}, "'nope'"),
+            (ExperimentConfig, {"metric_ids": "ns"}, "'metric_ids'"),
+            (ExperimentConfig, {"scale_policy": "nope"}, "'scale_policy'"),
+            (ExperimentConfig, {"optimizer_iterations": 2.7}, "'optimizer_iterations'"),
+            (ExperimentConfig, {"optimizer_iterations": True}, "'optimizer_iterations'"),
+            (ExperimentConfig, {"drs_force": "false"}, "'drs_force'"),
+            (CorpusSpec, {"graphs": "3"}, "'graphs'"),
+            (CorpusSpec, {"seed": 5.0}, "'seed'"),
+            (CorpusSpec, {"density": None}, "'density'"),
+        ],
+        ids=["unknown_metric", "metric_string", "scale_policy", "float_iterations",
+             "bool_iterations", "string_drs_force", "string_graphs", "float_seed", "none_density"],
+    )
+    def test_bad_field_refused_when_built(self, cls, kwargs, named):
+        with pytest.raises(ValueError) as info:
+            cls(**kwargs)
+        assert named in str(info.value)
+
+    def test_metric_generator_scores_every_graph(self):
+        config = ExperimentConfig(
+            corpus=CorpusSpec(graphs=5, n_min=12, n_max=20, seed=9),
+            metric_ids=(m for m in ("ns", "sns", "sgs")),
+            optimizer_iterations=40,
+        )
+        assert config.metric_ids == ("ns", "sns", "sgs")
+        result = run_experiment(config)
+        assert len(result.records) == 5 and not result.failures
+        for record in result.records:
+            for source in record.sources.values():
+                assert set(source.scores) == {"ns", "sns", "sgs"}
+
+    def test_numpy_scalars_accepted(self):
+        spec = CorpusSpec(graphs=np.int64(3), seed=np.int64(5), density=np.float64(0.1))
+        assert spec == CorpusSpec(graphs=3, seed=5, density=0.1)
+        assert type(spec.seed) is int and type(spec.graphs) is int
+        config = ExperimentConfig(corpus=spec, optimizer_iterations=np.int32(40))
+        assert type(config.optimizer_iterations) is int
+
+
 class TestScalePolicy:
     def test_as_is_untouched(self):
         layouts = {"optimized": random_layout(10, 0), "random": random_layout(10, 1)}

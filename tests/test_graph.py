@@ -57,8 +57,6 @@ class TestGraphType:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
         assert g.adjacency[1] == (0, 2, 3)
         assert g.adjacency[3] == (1,)
-        assert g.has_edge(3, 1) and g.has_edge(1, 3)
-        assert not g.has_edge(0, 3)
 
 
 class TestDistanceMatrix:
@@ -120,6 +118,7 @@ class TestDistanceMatrix:
         [
             (DistanceMatrix, _p3_square((1, 2, 0.0), (2, 1, 0.0)), "off-diagonal distances must be positive"),
             (DistanceMatrix, _p3_square((1, 2, -1.0), (2, 1, -1.0)), "off-diagonal distances must be positive"),
+            (DistanceMatrix, _p3_square((1, 2, -1), (2, 1, -1)).astype(np.int64), "off-diagonal distances must be positive"),
             (DistanceMatrix, np.zeros((2, 3)), "must be square"),
             (DistanceMatrix, _p3_square((0, 1, np.nan), (1, 0, np.nan)), "non-finite"),
             (DistanceMatrix, _p3_square((1, 1, 1.0)), "diagonal must be zero"),
@@ -130,7 +129,7 @@ class TestDistanceMatrix:
             (LayoutDistances, _p3_square((0, 1, 3.0)), "must be symmetric"),
             (LayoutDistances, _p3_square((1, 2, -1.0), (2, 1, -1.0)), "nonnegative with zero diagonal"),
         ],
-        ids=["0.0", "-1.0", "non_square", "non_finite", "nonzero_diagonal", "asymmetric",
+        ids=["0.0", "-1.0", "int64_-1", "non_square", "non_finite", "nonzero_diagonal", "asymmetric",
              "layout-non_square", "layout-non_finite", "layout-nonzero_diagonal",
              "layout-asymmetric", "layout-negative"],
     )
@@ -139,6 +138,26 @@ class TestDistanceMatrix:
         LayoutDistances; the first two cases are the non-positive off-diagonal."""
         with pytest.raises(ValueError, match=message):
             cls(m)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64, np.float32])
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            (((1, 2, 0), (2, 1, 0)), "off-diagonal distances must be positive"),
+            (((1, 1, 1),), "diagonal must be zero"),
+            (((0, 1, 3),), "must be symmetric"),
+        ],
+        ids=["zero", "nonzero_diagonal", "asymmetric"],
+    )
+    def test_integer_and_float_squares_checked_in_their_own_dtype(self, dtype, edits, message):
+        with pytest.raises(ValueError, match=message):
+            DistanceMatrix(_p3_square(*edits).astype(dtype))
+
+    def test_apsp_pairs_are_read_only_float64(self):
+        g = grid_graph(4, 5)
+        d = apsp(g)
+        assert d.pairs.dtype == np.float64 and not d.pairs.flags.writeable
+        assert np.array_equal(d.pairs, DistanceMatrix(floyd_warshall(g)).pairs)
 
 
 class TestReadGraphFile:
