@@ -17,10 +17,11 @@ import itertools
 import json
 import math
 import numbers
+import os
 import statistics
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -242,18 +243,24 @@ def run_trial(
 # aggregation
 
 
-def _adjusted(metric_id: str, value: float) -> float:
-    # flip sign where higher is better so "smaller = better" holds everywhere
-    return -value if metric_id in HIGHER_IS_BETTER else value
-
-
-def _metrics_in_all(records, sources) -> tuple[str, ...]:
-    common: set[str] | None = None
+def _signed_scores(records, sources) -> dict[str, list[tuple[float, ...]]]:
+    """Per metric that every source of every record scored, in METRIC_IDS
+    order: one row per record holding the sources' scores in the order of
+    sources, negated where higher is better so smaller is better everywhere.
+    ValueError when a record is missing a source."""
+    rows = []
     for record in records:
         for src in sources:
-            present = set(record.sources[src].scores)
-            common = present if common is None else common & present
-    return tuple(m for m in METRIC_IDS if common and m in common)
+            if src not in record.sources:
+                raise ValueError(f"record {record.graph_id} is missing source {src!r}")
+        rows.append([record.sources[src].scores for src in sources])
+    scored = [scores for row in rows for scores in row]
+    table = {}
+    for m in METRIC_IDS:
+        if scored and all(m in scores for scores in scored):
+            flip = m in HIGHER_IS_BETTER
+            table[m] = [tuple(-s[m] if flip else s[m] for s in row) for row in rows]
+    return table
 
 
 @dataclass(frozen=True)
@@ -288,39 +295,23 @@ def order_frequencies(records, sources=LAYOUT_SOURCES) -> OrderFrequencyTable:
     records = list(records)
     if not records:
         raise ValueError("no trial records")
-    for record in records:
-        for src in sources:
-            if src not in record.sources:
-                raise ValueError(f"record {record.graph_id} is missing source {src!r}")
-    metric_ids = _metrics_in_all(records, sources)
-    totals: dict[str, int] = {}
-    triple_counts: dict[str, dict[tuple[str, ...], int]] = {}
-    pair_counts: dict[str, dict[tuple[str, str], int]] = {}
-    tie_counts: dict[str, int] = {}
-    for metric_id in metric_ids:
-        perms = []
-        ties = 0
-        for record in records:
-            values = {
-                src: _adjusted(metric_id, record.sources[src].scores[metric_id])
-                for src in sources
-            }
-            if len(set(values.values())) < len(sources):
-                ties += 1
-            perms.append(tuple(sorted(sources, key=lambda s: (values[s], s))))
-        totals[metric_id] = len(records)
-        triple_counts[metric_id] = dict(Counter(perms))
-        # each ordering runs best to worst, so each pair it yields is (winner, loser)
-        pairs = (pair for perm in perms for pair in itertools.combinations(perm, 2))
-        pair_counts[metric_id] = dict(Counter(pairs))
-        tie_counts[metric_id] = ties
+    signed = _signed_scores(records, sources)
+    # sorted by score, then by name; a tie is a row with a repeated value
+    perms = {
+        m: [tuple(src for _, src in sorted(zip(row, sources))) for row in rows]
+        for m, rows in signed.items()
+    }
     return OrderFrequencyTable(
         sources=tuple(sources),
-        metric_ids=metric_ids,
-        totals=totals,
-        triple_counts=triple_counts,
-        pair_counts=pair_counts,
-        tie_counts=tie_counts,
+        metric_ids=tuple(signed),
+        totals={m: len(records) for m in signed},
+        triple_counts={m: dict(Counter(p)) for m, p in perms.items()},
+        # each ordering runs best to worst, so each pair it yields is (winner, loser)
+        pair_counts={
+            m: dict(Counter(pair for perm in p for pair in itertools.combinations(perm, 2)))
+            for m, p in perms.items()
+        },
+        tie_counts={m: sum(len(set(row)) < len(row) for row in rows) for m, rows in signed.items()},
     )
 
 
@@ -346,28 +337,14 @@ def metric_correlations(records, sources=LAYOUT_SOURCES) -> CorrelationTable:
     records = list(records)
     if len(records) < 2:
         raise ValueError("need at least 2 trial records")
-    metric_ids = _metrics_in_all(records, sources)
-    series = {
-        metric_id: np.concatenate(
-            [
-                average_ranks(
-                    [
-                        _adjusted(metric_id, record.sources[src].scores[metric_id])
-                        for src in sources
-                    ]
-                )
-                for record in records
-            ]
-        )
-        for metric_id in metric_ids
-    }
-    k = len(metric_ids)
+    signed = _signed_scores(records, sources)
+    series = [np.concatenate([average_ranks(row) for row in rows]) for rows in signed.values()]
+    k = len(series)
     matrix = np.eye(k)
     for i in range(k):
         for j in range(i + 1, k):
-            rho = spearman(series[metric_ids[i]], series[metric_ids[j]])
-            matrix[i, j] = matrix[j, i] = rho
-    return CorrelationTable(metric_ids=metric_ids, matrix=matrix)
+            matrix[i, j] = matrix[j, i] = spearman(series[i], series[j])
+    return CorrelationTable(metric_ids=tuple(signed), matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +445,9 @@ class ExperimentConfig:
 
     corpus: CorpusSpec = field(default_factory=CorpusSpec)
     # when set, graphs come from files in this directory instead of the
-    # generator; corpus.seed still drives the layout randomness
-    corpus_dir: str | None = None
+    # generator; corpus.seed still drives the layout randomness. A path is
+    # kept as its str, which the summary JSON can hold
+    corpus_dir: str | os.PathLike | None = None
     metric_ids: tuple[str, ...] = DEFAULT_EXPERIMENT_METRICS
     scale_policy: str = "paper-like"
     # 3x the optimizer's own default: the ordering analysis needs the
@@ -478,8 +456,12 @@ class ExperimentConfig:
     drs_force: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.metric_ids, str):
-            raise ValueError(f"'metric_ids' must be a list of metric ids, got {self.metric_ids!r}")
+        if not isinstance(self.corpus, CorpusSpec):
+            raise ValueError(f"'corpus' must be a CorpusSpec, got {self.corpus!r}")
+        if self.corpus_dir is not None:
+            if not isinstance(self.corpus_dir, (str, os.PathLike)):
+                raise ValueError(f"'corpus_dir' must be a str or a path, got {self.corpus_dir!r}")
+            object.__setattr__(self, "corpus_dir", os.fspath(self.corpus_dir))
         # a generator is used up here once, not by the first trial
         object.__setattr__(self, "metric_ids", check_metric_ids(self.metric_ids))
         if self.scale_policy not in SCALE_POLICIES:
@@ -551,21 +533,22 @@ def run_experiment(config: ExperimentConfig = ExperimentConfig()) -> ExperimentR
             raise ValueError("the corpus holds no graphs")
         graph_id, message = failures[0]
         raise ValueError(f"every trial failed; first failure: {graph_id}: {message}")
-    result = ExperimentResult(
+    table = order_frequencies(records)
+    corr = metric_correlations(records)
+    return ExperimentResult(
         config=config,
         records=tuple(records),
         failures=tuple(failures),
-        order_table=order_frequencies(records),
-        correlation_table=metric_correlations(records),
-        verdicts=(),
+        order_table=table,
+        correlation_table=corr,
+        verdicts=experiment_verdicts(records, table, corr),
     )
-    return replace(result, verdicts=experiment_verdicts(result))
 
 
-def experiment_verdicts(result: ExperimentResult) -> tuple[Verdict, ...]:
+def experiment_verdicts(
+    records, table: OrderFrequencyTable, corr: CorrelationTable
+) -> tuple[Verdict, ...]:
     """One pass/fail line per expectation the experiment is meant to check."""
-    table = result.order_table
-    corr = result.correlation_table
     verdicts: list[Verdict] = []
 
     def check(name: str, passed: bool, detail: str) -> None:
@@ -604,12 +587,8 @@ def experiment_verdicts(result: ExperimentResult) -> tuple[Verdict, ...]:
                 f"spearman({a}, {b}) = {rho:.3f} (threshold {op} {bound})",
             )
     if "sgs" in table.metric_ids:
-        mean_opt = float(
-            np.mean([r.sources["optimized"].scores["sgs"] for r in result.records])
-        )
-        mean_rand = float(
-            np.mean([r.sources["random"].scores["sgs"] for r in result.records])
-        )
+        mean_opt = float(np.mean([r.sources["optimized"].scores["sgs"] for r in records]))
+        mean_rand = float(np.mean([r.sources["random"].scores["sgs"] for r in records]))
         check(
             "sgs-optimized-high",
             mean_opt > 0.8,

@@ -314,7 +314,10 @@ def nonmetric_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
 
 
 def check_metric_ids(ids) -> tuple[str, ...]:
-    """The ids as given, as a tuple; ValueError when empty or one is unknown."""
+    """The ids as given, as a tuple; ValueError when a bare string, empty or
+    one is unknown."""
+    if isinstance(ids, str):
+        raise ValueError(f"'metric_ids' must be a list of metric ids, got {ids!r}")
     ids = tuple(ids)
     if not ids:
         raise ValueError("empty metric list")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from layoutstress.experiment import (
     write_tables,
 )
 from layoutstress import serialize_edge_list
+from layoutstress.metrics import HIGHER_IS_BETTER
 
 from conftest import _is_connected, path_graph
 
@@ -122,9 +124,12 @@ class TestConfigChecks:
             (CorpusSpec, {"graphs": "3"}, "'graphs'"),
             (CorpusSpec, {"seed": 5.0}, "'seed'"),
             (CorpusSpec, {"density": None}, "'density'"),
+            (ExperimentConfig, {"corpus": {"graphs": 3}}, "'corpus'"),
+            (ExperimentConfig, {"corpus_dir": 5}, "'corpus_dir'"),
         ],
         ids=["unknown_metric", "metric_string", "scale_policy", "float_iterations",
-             "bool_iterations", "string_drs_force", "string_graphs", "float_seed", "none_density"],
+             "bool_iterations", "string_drs_force", "string_graphs", "float_seed", "none_density",
+             "dict_corpus", "int_corpus_dir"],
     )
     def test_bad_field_refused_when_built(self, cls, kwargs, named):
         with pytest.raises(ValueError) as info:
@@ -143,6 +148,18 @@ class TestConfigChecks:
         for record in result.records:
             for source in record.sources.values():
                 assert set(source.scores) == {"ns", "sns", "sgs"}
+
+    def test_path_corpus_dir_written_as_string(self, tmp_path):
+        rng = np.random.default_rng(3)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for k in range(2):
+            (corpus / f"g{k}.txt").write_text(serialize_edge_list(corpus_graph(12, 0.1, rng)))
+        config = ExperimentConfig(corpus_dir=corpus, metric_ids=("ns", "sns"), optimizer_iterations=20)
+        assert config.corpus_dir == str(corpus)
+        paths = write_tables(run_experiment(config), tmp_path / "out")
+        summary = json.loads(paths[-1].read_text())
+        assert summary["config"]["corpus_dir"] == str(corpus)
 
     def test_numpy_scalars_accepted(self):
         spec = CorpusSpec(graphs=np.int64(3), seed=np.int64(5), density=np.float64(0.1))
@@ -211,6 +228,8 @@ class TestRunTrial:
             run_trial("g", apsp(g), {"random": random_layout(3, 0)}, ("ns",), "as-is")
         with pytest.raises(ValueError, match="empty metric list"):
             run_trial("g", apsp(g), {"random": random_layout(4, 0)}, (), "as-is")
+        with pytest.raises(ValueError, match="'metric_ids' must be a list of metric ids, got 'ns'"):
+            run_trial("g", apsp(g), {"random": random_layout(4, 0)}, "ns", "as-is")
 
     def test_alpha_min_recorded(self):
         g = path_graph(5)
@@ -252,15 +271,39 @@ class TestOrderFrequencies:
         perfect = Layout(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
         layouts = {"a": perfect, "b": perfect, "c": random_layout(3, 3)}
         record = run_trial("g", apsp(g), layouts, ("sns",), "as-is")
-        table = order_frequencies([record], sources=("a", "b", "c"))
-        assert table.tie_counts["sns"] == 1
-        assert table.triple_frequency("sns", ("a", "b", "c")) == 1.0
+        for sources in (("a", "b", "c"), ("b", "a", "c")):
+            table = order_frequencies([record], sources=sources)
+            assert table.tie_counts["sns"] == 1
+            assert table.triple_frequency("sns", ("a", "b", "c")) == 1.0
 
     def test_missing_source_rejected(self):
         g = path_graph(3)
         record = run_trial("g", apsp(g), {"only": random_layout(3, 0)}, ("ns",), "as-is")
         with pytest.raises(ValueError, match="missing source"):
             order_frequencies([record])
+        with pytest.raises(ValueError, match="missing source"):
+            metric_correlations([record, record])
+
+    def test_counts_match_definition(self, small_result):
+        # each record's sources sorted by (score, name), the score negated
+        # where higher is better
+        table = small_result.order_table
+        assert table.metric_ids == small_result.config.metric_ids
+        for metric_id in table.metric_ids:
+            triples, pairs, ties = {}, {}, 0
+            for record in small_result.records:
+                signed = {src: record.sources[src].scores[metric_id] for src in LAYOUT_SOURCES}
+                if metric_id in HIGHER_IS_BETTER:
+                    signed = {src: -v for src, v in signed.items()}
+                ties += len(set(signed.values())) < len(signed)
+                perm = tuple(sorted(LAYOUT_SOURCES, key=lambda src: (signed[src], src)))
+                triples[perm] = triples.get(perm, 0) + 1
+                for i, better in enumerate(perm):
+                    for worse in perm[i + 1 :]:
+                        pairs[better, worse] = pairs.get((better, worse), 0) + 1
+            assert table.triple_counts[metric_id] == triples
+            assert table.pair_counts[metric_id] == pairs
+            assert table.tie_counts[metric_id] == ties
 
 
 class TestMetricCorrelations:
@@ -273,6 +316,27 @@ class TestMetricCorrelations:
 
     def test_scale_sensitive_vs_invariant_negative(self, small_result):
         assert small_result.correlation_table.get("rs", "sns") <= -0.2
+
+    def test_matrix_matches_definition(self, small_result):
+        # Spearman over the pooled per-record ranks: Pearson of the ranks of
+        # those ranks, every rank counted as 1 + #smaller + (#equal - 1) / 2
+        def counted_ranks(values):
+            return [
+                1 + sum(w < v for w in values) + (sum(w == v for w in values) - 1) / 2
+                for v in values
+            ]
+
+        corr = small_result.correlation_table
+        pooled = []
+        for metric_id in corr.metric_ids:
+            series = []
+            for record in small_result.records:
+                row = [record.sources[src].scores[metric_id] for src in LAYOUT_SOURCES]
+                if metric_id in HIGHER_IS_BETTER:
+                    row = [-v for v in row]
+                series.extend(counted_ranks(row))
+            pooled.append(counted_ranks(series))
+        np.testing.assert_allclose(corr.matrix, np.corrcoef(pooled), rtol=0, atol=1e-12)
 
     def test_needs_two_records(self, small_result):
         with pytest.raises(ValueError):
@@ -297,6 +361,8 @@ class TestRuntimeBenchmark:
                 runtime_benchmark(sizes, ["drs"], repetitions=3)
         with pytest.raises(ValueError, match="unknown metric"):
             runtime_benchmark([10, 20], ["nope"], repetitions=3)
+        with pytest.raises(ValueError, match="'metric_ids' must be a list of metric ids, got 'ns'"):
+            runtime_benchmark([10, 20], "ns", repetitions=3)
 
     def test_drs_guard(self):
         with pytest.raises(SizeGuardError):
