@@ -239,9 +239,7 @@ def _read_config(path: Path) -> exp.ExperimentConfig:
         if not isinstance(data["metrics"], list):
             raise ValueError("'metrics' must be a list of metric ids")
         data["metric_ids"] = data.pop("metrics")
-    return exp.ExperimentConfig(
-        corpus=corpus, corpus_dir=None if corpus_dir is None else str(corpus_dir), **data
-    )
+    return exp.ExperimentConfig(corpus=corpus, corpus_dir=corpus_dir, **data)
 
 
 def _experiment_config(args) -> exp.ExperimentConfig:

@@ -51,13 +51,19 @@ def gnp_connected(n: int, p: float, rng: np.random.Generator) -> Graph:
 
 
 def _is_connected(g: Graph) -> bool:
+    """Whether a search from vertex 0 reaches every vertex, over neighbours
+    read from the edge list rather than from the graph module."""
     if g.vertex_count == 0:
         return False
+    neighbours = [[] for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
     seen = {0}
     stack = [0]
     while stack:
         u = stack.pop()
-        for v in g.adjacency[u]:
+        for v in neighbours[u]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)

@@ -305,9 +305,11 @@ class TestExperimentConfigErrors:
             ({"optimizer_iterations": "300"}, "'optimizer_iterations'"),
             ({"scale_policy": ["as-is"]}, "'scale_policy'"),
             ({"scale_policy": "nope"}, "'scale_policy'"),
+            ({"corpus": {"dir": ["a"]}}, "'corpus_dir'"),
+            ({"corpus": {"dir": 5}}, "'corpus_dir'"),
         ],
         ids=["string_drs_force", "float_iterations", "bool_iterations", "string_iterations",
-             "list_scale_policy", "unknown_scale_policy"],
+             "list_scale_policy", "unknown_scale_policy", "list_corpus_dir", "int_corpus_dir"],
     )
     def test_wrong_type_top_level_value_names_key(self, tmp_path, capsys, data, key):
         code, err = self.run_config(tmp_path, capsys, data)

@@ -55,8 +55,13 @@ class TestGraphType:
 
     def test_adjacency_symmetric(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-        assert g.adjacency[1] == (0, 2, 3)
-        assert g.adjacency[3] == (1,)
+        nbr, starts = g.neighbours
+        # every vertex lists itself beside its neighbours
+        assert set(nbr[starts[1]:starts[2]].tolist()) == {0, 1, 2, 3}
+        assert set(nbr[starts[3]:].tolist()) == {1, 3}
+        for table in (nbr, starts):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
 
 class TestDistanceMatrix:
@@ -316,6 +321,67 @@ class TestLargestComponent:
         comps = connected_components(g)
         flat = sorted(v for c in comps for v in c)
         assert flat == list(range(7))
+
+    def test_components_ordered_by_smallest_vertex(self):
+        g = Graph.from_edges(5, [(0, 4), (4, 2), (1, 3)])
+        assert connected_components(g) == [[0, 2, 4], [1, 3]]
+
+    def test_isolated_vertices_are_singletons(self):
+        g = Graph.from_edges(6, [(1, 4)])
+        assert connected_components(g) == [[0], [1, 4], [2], [3], [5]]
+
+    def test_no_vertices_no_components(self):
+        assert connected_components(Graph(0, ())) == []
+
+    def test_matches_union_find_on_random_sparse_graphs(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 41))
+            m = int(rng.integers(0, n + 1))
+            pairs = rng.integers(n, size=(m, 2)).tolist()
+            g = Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
+            expected = _union_find_components(g)
+            assert connected_components(g) == expected
+            best = max(expected, key=lambda c: (len(c), -c[0]))
+            sub, new_to_old = largest_connected_component(g)
+            assert new_to_old == tuple(best)
+            old_to_new = {old: new for new, old in enumerate(best)}
+            assert sub == Graph.from_edges(len(best), [
+                (old_to_new[u], old_to_new[v]) for u, v in g.edges if u in old_to_new
+            ])
+
+    @pytest.mark.parametrize("numbering", ["in_order", "random"])
+    def test_long_path(self, numbering):
+        ids = list(range(20_000))
+        if numbering == "random":
+            ids = np.random.default_rng(5).permutation(20_000).tolist()
+        g = Graph.from_edges(20_000, zip(ids, ids[1:]))
+        sub, new_to_old = largest_connected_component(g)
+        assert new_to_old == tuple(range(20_000))
+        assert sub == g
+
+    def test_one_edge_among_many_isolated_vertices(self):
+        sub, new_to_old = largest_connected_component(Graph(20_000, ((7_000, 19_999),)))
+        assert new_to_old == (7_000, 19_999)
+        assert sub == Graph(2, ((0, 1),))
+
+
+def _union_find_components(g: Graph) -> list[list[int]]:
+    """Components from the edge list by union-find, ordered by smallest vertex."""
+    parent = list(range(g.vertex_count))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        ru, rv = root(u), root(v)
+        parent[max(ru, rv)] = min(ru, rv)
+    groups: dict[int, list[int]] = {}
+    for v in range(g.vertex_count):
+        groups.setdefault(root(v), []).append(v)
+    return [groups[r] for r in sorted(groups)]
 
 
 def _assert_disconnected(g: Graph, missing: int) -> None:
