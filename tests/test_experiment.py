@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from layoutstress.experiment import (
     runtime_benchmark,
     write_tables,
 )
+from layoutstress import experiment as exp_mod
 from layoutstress import serialize_edge_list
 from layoutstress.metrics import HIGHER_IS_BETTER
 
@@ -392,26 +396,24 @@ class TestExperiment:
         assert inversions >= 0.9 * len(small_result.records)
 
     def test_failures_recorded_and_run_continues(self, monkeypatch):
-        from layoutstress import experiment as exp_mod
-
         real = exp_mod.make_layouts
-        calls = {"count": 0}
+        spec = CorpusSpec(graphs=4, n_min=12, n_max=20, seed=9)
+        failing_id, failing = generate_corpus(spec)[1]
 
+        # keyed on the graph, not on a call count: each worker process
+        # would count only the calls it made itself
         def flaky(graph, distances, opt_seed, rand_seed, iterations=100):
-            calls["count"] += 1
-            if calls["count"] == 2:
+            if graph == failing:
                 raise RuntimeError("synthetic layout failure")
             return real(graph, distances, opt_seed, rand_seed, iterations)
 
         monkeypatch.setattr(exp_mod, "make_layouts", flaky)
-        config = ExperimentConfig(
-            corpus=CorpusSpec(graphs=4, n_min=12, n_max=20, seed=9),
-            optimizer_iterations=40,
-        )
+        config = ExperimentConfig(corpus=spec, optimizer_iterations=40)
         result = run_experiment(config)
         assert len(result.records) == 3
         assert len(result.failures) == 1
         assert "synthetic layout failure" in result.failures[0][1]
+        assert result.failures[0][0] == failing_id
 
     def test_bit_identical_tables(self, tmp_path):
         config = ExperimentConfig(
@@ -447,3 +449,90 @@ class TestExperiment:
     def test_verdict_names_cover_expected_checks(self, small_result):
         names = {v.name for v in small_result.verdicts}
         assert {"sns-ground-truth", "rs-random-best", "corr-rs-sns", "sgs-random-low"} <= names
+
+
+POOL_SPEC = CorpusSpec(graphs=5, n_min=12, n_max=22, seed=11)
+
+
+@pytest.fixture
+def run_with_workers(monkeypatch):
+    """run_experiment(config, workers) with the worker count forced. Every
+    trial checks that it runs in a worker process when workers > 1 and in
+    this process otherwise, and fails if not; fail(graph) may name graphs
+    whose layouts raise, and die(graph) ones whose worker exits."""
+    parent = os.getpid()
+    real = exp_mod.make_layouts
+
+    def run(config, workers, fail=lambda graph: False, die=lambda graph: False):
+        def checked(graph, distances, opt_seed, rand_seed, iterations=100):
+            if (os.getpid() != parent) != (workers > 1):
+                raise AssertionError(f"trial ran in process {os.getpid()}, parent {parent}")
+            if die(graph):
+                os._exit(3)
+            if fail(graph):
+                raise RuntimeError(f"synthetic failure on {graph.vertex_count} vertices")
+            return real(graph, distances, opt_seed, rand_seed, iterations)
+
+        monkeypatch.setattr(exp_mod, "_trial_workers", lambda trials: workers)
+        monkeypatch.setattr(exp_mod, "make_layouts", checked)
+        return run_experiment(config)
+
+    return run
+
+
+def _table_bytes(result, out_dir) -> list[bytes]:
+    return [path.read_bytes() for path in write_tables(result, out_dir)]
+
+
+class TestTrialPool:
+    @pytest.mark.parametrize("seed", [11, 12, 13, 14])
+    def test_pool_and_serial_tables_identical(self, run_with_workers, tmp_path, seed):
+        config = ExperimentConfig(
+            corpus=CorpusSpec(graphs=4, n_min=12, n_max=22, seed=seed),
+            optimizer_iterations=40,
+        )
+        pooled = run_with_workers(config, 2)
+        serial = run_with_workers(config, 1)
+        assert pooled.failures == serial.failures == ()
+        assert _table_bytes(pooled, tmp_path / "pool") == _table_bytes(serial, tmp_path / "serial")
+
+    def test_pool_and_serial_identical_on_corpus_dir(self, run_with_workers, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        for graph_id, graph in generate_corpus(POOL_SPEC):
+            (corpus_dir / f"{graph_id}.txt").write_text(serialize_edge_list(graph))
+        config = ExperimentConfig(corpus_dir=corpus_dir, optimizer_iterations=40)
+        pooled = run_with_workers(config, 2)
+        serial = run_with_workers(config, 1)
+        assert [r.graph_id for r in pooled.records] == [f"g{k:03d}" for k in range(5)]
+        assert _table_bytes(pooled, tmp_path / "pool") == _table_bytes(serial, tmp_path / "serial")
+
+    def test_failures_in_corpus_order(self, run_with_workers):
+        corpus = generate_corpus(POOL_SPEC)
+        failing = [corpus[1], corpus[3]]
+        config = ExperimentConfig(corpus=POOL_SPEC, optimizer_iterations=40)
+
+        def fail(graph):
+            return any(graph == g for _, g in failing)
+
+        pooled = run_with_workers(config, 2, fail=fail)
+        serial = run_with_workers(config, 1, fail=fail)
+        assert pooled.failures == serial.failures
+        assert [graph_id for graph_id, _ in pooled.failures] == [gid for gid, _ in failing]
+        assert "synthetic failure" in pooled.failures[0][1]
+        assert len(pooled.records) == 3
+
+    def test_dead_worker_raises(self, run_with_workers):
+        _, doomed = generate_corpus(POOL_SPEC)[2]
+        config = ExperimentConfig(corpus=POOL_SPEC, optimizer_iterations=40)
+        with pytest.raises(BrokenProcessPool):
+            run_with_workers(config, 2, die=lambda graph: graph == doomed)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_left_after_run_or_refusal(self, run_with_workers):
+        config = ExperimentConfig(corpus=POOL_SPEC, optimizer_iterations=40)
+        run_with_workers(config, 2)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValueError, match="every trial failed"):
+            run_with_workers(config, 2, fail=lambda graph: True)
+        assert multiprocessing.active_children() == []
