@@ -1,9 +1,9 @@
 """Stress-based quality metrics for graph drawings.
 
 Computes eight stress variants over a drawing and its graph's shortest-path
-distances, exposes closed-form optimal/intersection scale factors for the
-quadratic ones, and ships a deterministic experiment harness comparing
-layout sources of known relative quality.
+distances, exposes the closed-form optimal and crossing scale factors of the
+quadratic ones through QuadraticStressForm, and ships a deterministic
+experiment harness comparing layout sources of known relative quality.
 """
 
 from .errors import (
@@ -42,20 +42,15 @@ from .metrics import (
     METRIC_IDS,
     KKParams,
     QuadraticStressForm,
-    ScaleAnalysis,
     compute_metric,
     distance_ratio_stress,
     kk_stress,
     metric_alpha_min,
     nonmetric_stress,
     normalized_stress,
-    ns_alpha_intersection,
-    ns_alpha_min,
     ns_quadratic,
     raw_stress,
     raw_stress_quadratic,
-    rs_alpha_intersection,
-    rs_alpha_min,
     scale_normalized_stress,
     shepard_constant_stress,
     shepard_goodness,
@@ -95,20 +90,15 @@ __all__ = [
     "METRIC_IDS",
     "KKParams",
     "QuadraticStressForm",
-    "ScaleAnalysis",
     "compute_metric",
     "distance_ratio_stress",
     "kk_stress",
     "metric_alpha_min",
     "nonmetric_stress",
     "normalized_stress",
-    "ns_alpha_intersection",
-    "ns_alpha_min",
     "ns_quadratic",
     "raw_stress",
     "raw_stress_quadratic",
-    "rs_alpha_intersection",
-    "rs_alpha_min",
     "scale_normalized_stress",
     "shepard_constant_stress",
     "shepard_goodness",

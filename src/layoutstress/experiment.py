@@ -469,6 +469,8 @@ class ExperimentConfig:
             need = f"one of {', '.join(SCALE_POLICIES)}"
             raise ValueError(f"'scale_policy' must be {need}, got {self.scale_policy!r}")
         iterations = _integer("'optimizer_iterations'", self.optimizer_iterations)
+        if iterations < 1:
+            raise ValueError(f"'optimizer_iterations' must be >= 1, got {iterations!r}")
         object.__setattr__(self, "optimizer_iterations", iterations)
         if not isinstance(self.drs_force, bool):
             raise ValueError(f"'drs_force' must be true or false, got {self.drs_force!r}")

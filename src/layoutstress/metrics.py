@@ -86,7 +86,14 @@ class QuadraticStressForm:
 
     def crossing(self, other: QuadraticStressForm) -> float | None:
         """Positive alpha where this curve meets other's (symmetric); None when
-        the leading coefficients agree to 1e-12 relative or the root is not positive."""
+        the leading coefficients agree to 1e-12 relative or the root is not
+        positive. ValueError when the constant terms c differ: only drawings of
+        one graph under one metric are compared, and those share c."""
+        if self.c != other.c:
+            raise ValueError(
+                f"constant terms differ ({self.c!r} vs {other.c!r}): the curves are not"
+                " of drawings of one graph under one metric"
+            )
         if min(self.a, other.a) <= 0.0:
             raise DegenerateLayoutError("degenerate drawing: all points coincide")
         den = self.a - other.a
@@ -94,14 +101,6 @@ class QuadraticStressForm:
             return None
         alpha = (other.b - self.b) / den
         return alpha if alpha > 0.0 else None
-
-
-@dataclass(frozen=True)
-class ScaleAnalysis:
-    """Optimal scale factor for a drawing and the stress attained there."""
-
-    alpha_min: float
-    stress_at_min: float
 
 
 @dataclass(frozen=True)
@@ -141,22 +140,6 @@ def raw_stress_quadratic(e: LayoutDistances, d: DistanceMatrix) -> QuadraticStre
         b=-2.0 * float(np.sum(ev * dv)),
         c=float(np.sum(dv * dv)),
     )
-
-
-def rs_alpha_min(e: LayoutDistances, d: DistanceMatrix) -> float:
-    """Scale factor minimizing raw stress: sum(e*d) / sum(e^2)."""
-    return raw_stress_quadratic(e, d).alpha_min
-
-
-def rs_alpha_intersection(
-    e1: LayoutDistances, e2: LayoutDistances, d: DistanceMatrix
-) -> float | None:
-    """Positive scale at which two drawings' raw-stress curves cross.
-
-    Returns None when the curves share their leading coefficient (to within
-    1e-12 relative) or when the crossing is not at a positive scale.
-    """
-    return raw_stress_quadratic(e1, d).crossing(raw_stress_quadratic(e2, d))
 
 
 def kk_stress(
@@ -201,25 +184,16 @@ def ns_quadratic(e: LayoutDistances, d: DistanceMatrix) -> QuadraticStressForm:
     return QuadraticStressForm(a=float(np.sum(ratio)), b=b, c=n * (n - 1) / 2.0)
 
 
-def ns_alpha_min(e: LayoutDistances, d: DistanceMatrix) -> float:
-    """Scale factor minimizing normalized stress: sum(e/d) / sum(e^2/d^2)."""
-    return ns_quadratic(e, d).alpha_min
+#: the quadratic in alpha behind each metric with an optimal scale
+SCALE_QUADRATICS = {"rs": raw_stress_quadratic, "ns": ns_quadratic, "sns": ns_quadratic}
 
 
-def ns_alpha_intersection(
-    e1: LayoutDistances, e2: LayoutDistances, d: DistanceMatrix
-) -> float | None:
-    """Positive scale where two drawings' normalized-stress curves cross."""
-    return ns_quadratic(e1, d).crossing(ns_quadratic(e2, d))
-
-
-def scale_normalized_stress(e: LayoutDistances, d: DistanceMatrix) -> ScaleAnalysis:
+def scale_normalized_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
     """Normalized stress at its closed-form optimal scale (scale-invariant).
 
     Costs O(n^2), the same as a single normalized-stress evaluation.
     """
-    quad = ns_quadratic(e, d)
-    return ScaleAnalysis(quad.alpha_min, quad.minimum)
+    return ns_quadratic(e, d).minimum
 
 
 def shepard_goodness(e: LayoutDistances, d: DistanceMatrix) -> float:
@@ -343,7 +317,7 @@ def compute_metric(
     if metric_id == "ns":
         return normalized_stress(e, d)
     if metric_id == "sns":
-        return scale_normalized_stress(e, d).stress_at_min
+        return scale_normalized_stress(e, d)
     if metric_id == "sgs":
         return shepard_goodness(e, d)
     if metric_id == "scs":
@@ -357,11 +331,8 @@ def compute_metric(
 
 def metric_alpha_min(metric_id: str, e: LayoutDistances, d: DistanceMatrix) -> float | None:
     """Optimal scale factor for metrics that have one, else None."""
-    if metric_id == "rs":
-        return rs_alpha_min(e, d)
-    if metric_id in ("ns", "sns"):
-        return ns_alpha_min(e, d)
-    return None
+    quadratic = SCALE_QUADRATICS.get(metric_id)
+    return None if quadratic is None else quadratic(e, d).alpha_min
 
 
 def score_layout(
@@ -413,12 +384,9 @@ def stress_curve(
         if not (math.isfinite(a) and a > 0.0):
             raise ValueError(f"scale factors must be positive finite reals, got {a}")
 
-    base = pairwise_distances(layout)
     quad = None
-    if metric_id == "rs":
-        quad = raw_stress_quadratic(base, d)
-    elif metric_id == "ns":
-        quad = ns_quadratic(base, d)
+    if metric_id in ("rs", "ns"):
+        quad = SCALE_QUADRATICS[metric_id](pairwise_distances(layout), d)
 
     points: list[tuple[float, float]] = []
     for alpha in alphas:

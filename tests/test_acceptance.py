@@ -25,16 +25,12 @@ from layoutstress import (
     distance_ratio_stress,
     isotonic_regression,
     normalized_stress,
-    ns_alpha_intersection,
-    ns_alpha_min,
     ns_quadratic,
     optimize_layout,
     pairwise_distances,
     random_layout,
     raw_stress,
     raw_stress_quadratic,
-    rs_alpha_intersection,
-    rs_alpha_min,
     scale_layout,
     scale_normalized_stress,
 )
@@ -116,9 +112,7 @@ def test_criterion_02_scale_sensitivity_witnesses(p3):
     assert normalized_stress(p3["e_perfect"], d) == 0.0
     assert raw_stress(p3["e_doubled"], d) == pytest.approx(6.0, rel=1e-12)
     assert normalized_stress(p3["e_doubled"], d) == pytest.approx(3.0, rel=1e-12)
-    assert scale_normalized_stress(p3["e_doubled"], d).stress_at_min == pytest.approx(
-        0.0, abs=1e-12
-    )
+    assert scale_normalized_stress(p3["e_doubled"], d) == pytest.approx(0.0, abs=1e-12)
     _ok(2, "P3 witnesses: RS(2X)=6, NS(2X)=3, SNS(2X)=0, RS(X)=NS(X)=0")
 
 
@@ -131,12 +125,12 @@ def test_criterion_03_closed_form_optimality():
         d = apsp(g)
         layout = Layout(rng.random((n, 2)) * rng.uniform(0.5, 30.0))
         e = pairwise_distances(layout)
-        for alpha_fn, quad_fn, metric in (
-            (rs_alpha_min, raw_stress_quadratic, raw_stress),
-            (ns_alpha_min, ns_quadratic, normalized_stress),
+        for quad_fn, metric in (
+            (raw_stress_quadratic, raw_stress),
+            (ns_quadratic, normalized_stress),
         ):
-            alpha = alpha_fn(e, d)
             quad = quad_fn(e, d)
+            alpha = quad.alpha_min
             grid = np.linspace(4 * alpha / grid_points, 4 * alpha, grid_points)
             values = quad.a * grid * grid + quad.b * grid + quad.c
             step = grid[1] - grid[0]
@@ -151,8 +145,9 @@ def test_criterion_03_closed_form_optimality():
 
 
 def test_criterion_04_intersection_correctness(p2):
-    assert rs_alpha_intersection(p2["e1"], p2["e2"], p2["d"]) == pytest.approx(0.5, rel=1e-12)
-    assert ns_alpha_intersection(p2["e1"], p2["e2"], p2["d"]) == pytest.approx(0.5, rel=1e-12)
+    for quad_fn in (raw_stress_quadratic, ns_quadratic):
+        alpha = quad_fn(p2["e1"], p2["d"]).crossing(quad_fn(p2["e2"], p2["d"]))
+        assert alpha == pytest.approx(0.5, rel=1e-12)
     rng = np.random.default_rng(404)
     found = 0
     attempts = 0
@@ -165,7 +160,7 @@ def test_criterion_04_intersection_correctness(p2):
         lay1 = Layout(rng.random((n, 2)) * rng.uniform(0.5, 10.0))
         lay2 = Layout(rng.random((n, 2)) * rng.uniform(0.5, 10.0))
         e1, e2 = pairwise_distances(lay1), pairwise_distances(lay2)
-        alpha = ns_alpha_intersection(e1, e2, d)
+        alpha = ns_quadratic(e1, d).crossing(ns_quadratic(e2, d))
         if alpha is None:
             continue
         v1 = normalized_stress(pairwise_distances(scale_layout(lay1, alpha)), d)

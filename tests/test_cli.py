@@ -291,10 +291,26 @@ class TestExperimentConfigErrors:
         assert "'metrics' must be a list of metric ids" in err
         assert "'n'" not in err
 
-    def test_every_trial_failing_carries_first_failure(self, tmp_path, capsys):
+    def test_every_trial_failing_carries_first_failure(self, tmp_path, capsys, monkeypatch):
+        def failing(*args):
+            raise RuntimeError("synthetic layout failure")
+
+        monkeypatch.setattr("layoutstress.experiment.make_layouts", failing)
+        data = {"corpus": {"graphs": 2, "n_min": 12, "n_max": 14}, "optimizer_iterations": 1}
+        code, err = self.run_config(tmp_path, capsys, data)
+        assert code == 2
+        assert "every trial failed" in err and "RuntimeError: synthetic layout failure" in err
+
+    def test_zero_optimizer_iterations_refused_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def apsp_called(*args):
+            raise AssertionError("apsp called")
+
+        monkeypatch.setattr("layoutstress.experiment.apsp", apsp_called)
         code, err = self.run_config(tmp_path, capsys, {"optimizer_iterations": 0})
         assert code == 2
-        assert "every trial failed" in err and "iterations must be >= 1" in err
+        assert err.startswith(f"input error: {tmp_path / 'config.json'}: ")
+        assert "'optimizer_iterations' must be >= 1, got 0" in err
+        assert "apsp called" not in err and "every trial failed" not in err
 
     @pytest.mark.parametrize(
         "data, key",

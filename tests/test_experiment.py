@@ -13,7 +13,7 @@ from layoutstress import (
     Layout,
     SizeGuardError,
     apsp,
-    ns_alpha_min,
+    ns_quadratic,
     pairwise_distances,
     random_layout,
     scale_layout,
@@ -124,6 +124,8 @@ class TestConfigChecks:
             (ExperimentConfig, {"scale_policy": "nope"}, "'scale_policy'"),
             (ExperimentConfig, {"optimizer_iterations": 2.7}, "'optimizer_iterations'"),
             (ExperimentConfig, {"optimizer_iterations": True}, "'optimizer_iterations'"),
+            (ExperimentConfig, {"optimizer_iterations": 0}, "'optimizer_iterations' must be >= 1"),
+            (ExperimentConfig, {"optimizer_iterations": -5}, "'optimizer_iterations' must be >= 1"),
             (ExperimentConfig, {"drs_force": "false"}, "'drs_force'"),
             (CorpusSpec, {"graphs": "3"}, "'graphs'"),
             (CorpusSpec, {"seed": 5.0}, "'seed'"),
@@ -132,8 +134,8 @@ class TestConfigChecks:
             (ExperimentConfig, {"corpus_dir": 5}, "'corpus_dir'"),
         ],
         ids=["unknown_metric", "metric_string", "scale_policy", "float_iterations",
-             "bool_iterations", "string_drs_force", "string_graphs", "float_seed", "none_density",
-             "dict_corpus", "int_corpus_dir"],
+             "bool_iterations", "zero_iterations", "negative_iterations", "string_drs_force",
+             "string_graphs", "float_seed", "none_density", "dict_corpus", "int_corpus_dir"],
     )
     def test_bad_field_refused_when_built(self, cls, kwargs, named):
         with pytest.raises(ValueError) as info:
@@ -435,7 +437,7 @@ class TestExperiment:
             layouts = make_layouts(g, d, int(rng.integers(2**31)), int(rng.integers(2**31)), 200)
             normalized = {}
             for name, layout in layouts.items():
-                alpha = ns_alpha_min(pairwise_distances(layout), d)
+                alpha = ns_quadratic(pairwise_distances(layout), d).alpha_min
                 normalized[name] = scale_layout(layout, alpha)
             record = run_trial(gid, d, normalized, ("rs", "ns", "sns"), "as-is")
             table = order_frequencies([record])

@@ -27,15 +27,11 @@ from layoutstress import (
     metric_alpha_min,
     nonmetric_stress,
     normalized_stress,
-    ns_alpha_intersection,
-    ns_alpha_min,
     ns_quadratic,
     pairwise_distances,
     random_layout,
     raw_stress,
     raw_stress_quadratic,
-    rs_alpha_intersection,
-    rs_alpha_min,
     scale_layout,
     scale_normalized_stress,
     shepard_constant_stress,
@@ -170,7 +166,7 @@ class TestQuadraticForms:
         for _ in range(30):
             _, d, layout = random_instance(rng)
             e = pairwise_distances(layout)
-            assert ns_quadratic(e, d).minimum == scale_normalized_stress(e, d).stress_at_min
+            assert ns_quadratic(e, d).minimum == scale_normalized_stress(e, d)
             q = raw_stress_quadratic(e, d)
             direct = raw_stress(pairwise_distances(scale_layout(layout, q.alpha_min)), d)
             assert abs(q.minimum - direct) <= 1e-9 * abs(direct)
@@ -178,32 +174,22 @@ class TestQuadraticForms:
 
 class TestAlphaMin:
     def test_perfect_layout_alpha_one(self, p3):
-        assert rs_alpha_min(p3["e_perfect"], p3["d"]) == pytest.approx(1.0)
-        assert ns_alpha_min(p3["e_perfect"], p3["d"]) == pytest.approx(1.0)
+        assert raw_stress_quadratic(p3["e_perfect"], p3["d"]).alpha_min == pytest.approx(1.0)
+        assert ns_quadratic(p3["e_perfect"], p3["d"]).alpha_min == pytest.approx(1.0)
 
     def test_doubled_hand_values(self, p3):
-        assert rs_alpha_min(p3["e_doubled"], p3["d"]) == pytest.approx(0.5)  # 12 / 24
-        assert ns_alpha_min(p3["e_doubled"], p3["d"]) == pytest.approx(0.5)  # 6 / 12
-
-    def test_matches_quadratic_argmin(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            _, d, layout = random_instance(rng, n_min=4, n_max=16)
-            e = pairwise_distances(layout)
-            assert _rel_close(rs_alpha_min(e, d), raw_stress_quadratic(e, d).alpha_min, 1e-12)
-            assert _rel_close(ns_alpha_min(e, d), ns_quadratic(e, d).alpha_min, 1e-12)
+        # 12 / 24 and 6 / 12
+        assert raw_stress_quadratic(p3["e_doubled"], p3["d"]).alpha_min == pytest.approx(0.5)
+        assert ns_quadratic(p3["e_doubled"], p3["d"]).alpha_min == pytest.approx(0.5)
 
     def test_beats_grid_search(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             _, d, layout = random_instance(rng)
             e = pairwise_distances(layout)
-            for alpha_fn, quad_fn in (
-                (rs_alpha_min, raw_stress_quadratic),
-                (ns_alpha_min, ns_quadratic),
-            ):
-                alpha = alpha_fn(e, d)
+            for quad_fn in (raw_stress_quadratic, ns_quadratic):
                 q = quad_fn(e, d)
+                alpha = q.alpha_min
                 grid = np.linspace(alpha * 2 / 10_000, 2 * alpha, 10_000)
                 values = q.a * grid**2 + q.b * grid + q.c
                 step = grid[1] - grid[0]
@@ -214,8 +200,8 @@ class TestAlphaMin:
         _, d, layout = random_instance(rng)
         e = pairwise_distances(layout)
         for metric, alpha in (
-            (raw_stress, rs_alpha_min(e, d)),
-            (normalized_stress, ns_alpha_min(e, d)),
+            (raw_stress, raw_stress_quadratic(e, d).alpha_min),
+            (normalized_stress, ns_quadratic(e, d).alpha_min),
         ):
             best = metric(pairwise_distances(scale_layout(layout, alpha)), d)
             for a in np.linspace(alpha / 500, 3 * alpha, 1000):
@@ -226,9 +212,9 @@ class TestAlphaMin:
         d = apsp(path_graph(3))
         collapsed = as_layout_distances(np.zeros((3, 3)))
         with pytest.raises(DegenerateLayoutError):
-            rs_alpha_min(collapsed, d)
+            raw_stress_quadratic(collapsed, d).alpha_min
         with pytest.raises(DegenerateLayoutError):
-            ns_alpha_min(collapsed, d)
+            ns_quadratic(collapsed, d).alpha_min
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_closed_forms_bit_equal_to_direct_sums(self, seed):
@@ -238,21 +224,24 @@ class TestAlphaMin:
         ev, dv = _pair_vectors(e, d)
         ratio = ev / dv
         num, den = float(np.sum(ratio)), float(np.sum(ratio * ratio))
-        assert rs_alpha_min(e, d) == float(np.sum(ev * dv)) / float(np.sum(ev * ev))
-        assert ns_alpha_min(e, d) == num / den
-        analysis = scale_normalized_stress(e, d)
-        assert analysis.alpha_min == num / den
-        assert analysis.stress_at_min == max(n * (n - 1) / 2.0 - num * num / den, 0.0)
+        rs_alpha = float(np.sum(ev * dv)) / float(np.sum(ev * ev))
+        assert raw_stress_quadratic(e, d).alpha_min == rs_alpha
+        assert ns_quadratic(e, d).alpha_min == num / den
+        assert scale_normalized_stress(e, d) == max(n * (n - 1) / 2.0 - num * num / den, 0.0)
+
+
+def _crossing(quad_fn, e1, e2, d):
+    return quad_fn(e1, d).crossing(quad_fn(e2, d))
 
 
 class TestAlphaIntersection:
     def test_identical_layouts_none(self, p2):
-        assert rs_alpha_intersection(p2["e1"], p2["e1"], p2["d"]) is None
-        assert ns_alpha_intersection(p2["e1"], p2["e1"], p2["d"]) is None
+        assert _crossing(raw_stress_quadratic, p2["e1"], p2["e1"], p2["d"]) is None
+        assert _crossing(ns_quadratic, p2["e1"], p2["e1"], p2["d"]) is None
 
     def test_p2_hand_value(self, p2):
-        assert rs_alpha_intersection(p2["e1"], p2["e2"], p2["d"]) == pytest.approx(0.5)
-        assert ns_alpha_intersection(p2["e1"], p2["e2"], p2["d"]) == pytest.approx(0.5)
+        assert _crossing(raw_stress_quadratic, p2["e1"], p2["e2"], p2["d"]) == pytest.approx(0.5)
+        assert _crossing(ns_quadratic, p2["e1"], p2["e2"], p2["d"]) == pytest.approx(0.5)
 
     def test_crossing_equalizes_stress(self):
         rng = np.random.default_rng(8)
@@ -263,11 +252,11 @@ class TestAlphaIntersection:
             _, d, lay1 = g_d
             lay2 = Layout(rng.random((n, 2)) * rng.uniform(0.5, 10.0))
             e1, e2 = pairwise_distances(lay1), pairwise_distances(lay2)
-            for solver, metric in (
-                (rs_alpha_intersection, raw_stress),
-                (ns_alpha_intersection, normalized_stress),
+            for quad_fn, metric in (
+                (raw_stress_quadratic, raw_stress),
+                (ns_quadratic, normalized_stress),
             ):
-                alpha = solver(e1, e2, d)
+                alpha = _crossing(quad_fn, e1, e2, d)
                 if alpha is None:
                     continue
                 v1 = metric(pairwise_distances(scale_layout(lay1, alpha)), d)
@@ -289,14 +278,31 @@ class TestAlphaIntersection:
         assert c_low < c_high  # strict unless e1 proportional to d
         c = 0.5 * (c_low + c_high)
         e2 = as_layout_distances(c * d.d)
-        assert rs_alpha_intersection(e1, e2, d) is None
+        assert _crossing(raw_stress_quadratic, e1, e2, d) is None
 
     def test_degenerate_rejected(self, p2):
         collapsed = as_layout_distances(np.zeros((2, 2)))
         with pytest.raises(DegenerateLayoutError):
-            rs_alpha_intersection(collapsed, p2["e1"], p2["d"])
+            _crossing(raw_stress_quadratic, collapsed, p2["e1"], p2["d"])
         with pytest.raises(DegenerateLayoutError):
-            ns_alpha_intersection(p2["e1"], collapsed, p2["d"])
+            _crossing(ns_quadratic, p2["e1"], collapsed, p2["d"])
+
+    def test_curves_of_different_graphs_refused(self):
+        # P3 drawn at unit spacing and K3 drawn at spacing 3: the formula that
+        # ignores c would give 0.25, where the curves read 3.375 and 0.375
+        q1 = raw_stress_quadratic(
+            pairwise_distances(Layout(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))),
+            apsp(path_graph(3)),
+        )
+        q2 = raw_stress_quadratic(
+            pairwise_distances(Layout(np.array([[0.0, 0.0], [3.0, 0.0], [6.0, 0.0]]))),
+            apsp(complete_graph(3)),
+        )
+        assert (q1.a, q1.b, q1.c) == (6.0, -12.0, 6.0)
+        assert (q2.a, q2.b, q2.c) == (54.0, -24.0, 3.0)
+        for first, second in ((q1, q2), (q2, q1)):
+            with pytest.raises(ValueError, match="not of drawings of one graph under one metric"):
+                first.crossing(second)
 
 
 class TestKKStress:
@@ -356,17 +362,16 @@ class TestNormalizedStress:
 
 class TestScaleNormalizedStress:
     def test_doubled_restores_perfection(self, p3):
-        sa = scale_normalized_stress(p3["e_doubled"], p3["d"])
-        assert sa.alpha_min == pytest.approx(0.5)
-        assert sa.stress_at_min == 0.0
+        assert ns_quadratic(p3["e_doubled"], p3["d"]).alpha_min == pytest.approx(0.5)
+        assert scale_normalized_stress(p3["e_doubled"], p3["d"]) == 0.0
 
     def test_definitional_invariance(self):
         rng = np.random.default_rng(11)
         _, d, layout = random_instance(rng)
-        base = scale_normalized_stress(pairwise_distances(layout), d).stress_at_min
+        base = scale_normalized_stress(pairwise_distances(layout), d)
         for alpha in (0.01, 3.0, 1000.0):
             scaled = pairwise_distances(scale_layout(layout, alpha))
-            value = scale_normalized_stress(scaled, d).stress_at_min
+            value = scale_normalized_stress(scaled, d)
             assert _rel_close(value, base, 1e-9)
 
     def test_bounded_by_ns_and_scs(self):
@@ -374,7 +379,7 @@ class TestScaleNormalizedStress:
         for _ in range(30):
             _, d, layout = random_instance(rng)
             e = pairwise_distances(layout)
-            sns = scale_normalized_stress(e, d).stress_at_min
+            sns = scale_normalized_stress(e, d)
             assert 0.0 <= sns <= normalized_stress(e, d) + 1e-12
             assert sns <= shepard_constant_stress(e, d) + 1e-12
 
@@ -660,7 +665,8 @@ class TestCrossMetricInvariants:
         scores, skipped = score_layout(e, d, ("drs", "ns"))
         assert skipped == ("drs",) and list(scores) == ["ns"]
         value, alpha, seconds = scores["ns"]
-        assert value == normalized_stress(e, d) and alpha == ns_alpha_min(e, d) and seconds >= 0.0
+        assert value == normalized_stress(e, d) and seconds >= 0.0
+        assert alpha == ns_quadratic(e, d).alpha_min
         scores, skipped = score_layout(e, d, ("drs",), force=True)
         assert skipped == () and list(scores) == ["drs"]
         value, alpha, _ = scores["drs"]
@@ -687,7 +693,7 @@ class TestStressCurve:
 
     def test_ns_minimum_matches_alpha_min(self, p3):
         d = p3["d"]
-        alpha = ns_alpha_min(p3["e_doubled"], d)
+        alpha = ns_quadratic(p3["e_doubled"], d).alpha_min
         grid = np.linspace(0.01, 4 * alpha, 10_000)
         points = stress_curve(p3["doubled"], d, "ns", grid)
         values = [v for _, v in points]
@@ -706,6 +712,16 @@ class TestStressCurve:
         )
         values = [v for _, v in points]
         assert values[1] != pytest.approx(4 * values[0], rel=1e-6)
+
+    @pytest.mark.parametrize("metric_id,direct", [("rs", "raw_stress"), ("ns", "normalized_stress")])
+    def test_quadratic_cross_check_fires(self, p3, monkeypatch, metric_id, direct):
+        true_value = getattr(layoutstress.metrics, direct)
+        monkeypatch.setattr(layoutstress.metrics, direct, lambda e, d: true_value(e, d) + 1.0)
+        with pytest.raises(RuntimeError, match=rf"failed for {metric_id} at alpha=2\.0:"):
+            stress_curve(p3["stretched"], p3["d"], metric_id, [2.0, 0.5])
+        # sns and kks have no quadratic to check against
+        for other in ("sns", "kks"):
+            assert len(stress_curve(p3["stretched"], p3["d"], other, [0.5, 2.0])) == 2
 
     def test_rejects_bad_input(self, p3):
         with pytest.raises(ValueError, match="unknown metric"):
