@@ -24,7 +24,7 @@ import numpy as np
 
 from . import experiment as exp
 from .graph import Graph, apsp, largest_connected_component, read_graph_file
-from .layout import Layout, pairwise_distances, read_layout_csv
+from .layout import Layout, read_layout_csv
 from .metrics import METRIC_IDS, KKParams, check_metric_ids, score_layout, stress_curve
 
 OUT_DIR_ENV = "LAYOUTSTRESS_OUT_DIR"
@@ -152,20 +152,19 @@ def _cmd_compute(args) -> int:
 
     report_layouts = {}
     for name, (layout_path, layout) in layouts.items():
-        e = pairwise_distances(layout)
-        scores, skipped = score_layout(e, d, metric_ids, kk_params=kk_params, force=args.force)
+        try:
+            scored = score_layout(layout, d, metric_ids, kk_params=kk_params, force=args.force)
+        except ValueError as exc:
+            raise ValueError(f"{layout_path}: {exc}") from exc
         report_layouts[name] = {
             "path": layout_path,
-            "max_drawing_distance": e.max_distance,
+            "max_drawing_distance": scored.max_distance,
             "metrics": {
-                metric_id: {"value": value, "alpha_min": alpha, "seconds": seconds}
-                for metric_id, (value, alpha, seconds) in scores.items()
+                m: {"value": v, "alpha_min": scored.alpha_min.get(m), "seconds": scored.seconds[m]}
+                for m, v in scored.scores.items()
             },
-            "skipped": skipped,
+            "skipped": scored.skipped,
         }
-        # release this drawing's n x n distances and cached pair tables
-        # before the next drawing builds its own
-        del e
 
     report = {
         "command": "compute",
@@ -196,7 +195,12 @@ def _cmd_curve(args) -> int:
     alphas = _parse_alpha_grid(args.alpha_grid)
     kk_params = KKParams(args.l0) if args.l0 is not None else None
     d = apsp(graph)
-    points = stress_curve(layout, d, metric_ids[0], alphas, kk_params=kk_params, force=args.force)
+    try:
+        points = stress_curve(
+            layout, d, metric_ids[0], alphas, kk_params=kk_params, force=args.force
+        )
+    except ValueError as exc:
+        raise ValueError(f"{args.layout}: {exc}") from exc
     report = {
         "command": "curve",
         "config": {

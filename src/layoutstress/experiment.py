@@ -37,7 +37,8 @@ from .layout import (
     random_layout,
     scale_to_max_distance,
 )
-from .metrics import HIGHER_IS_BETTER, METRIC_IDS, check_metric_ids, compute_metric, score_layout
+from .metrics import HIGHER_IS_BETTER, METRIC_IDS, DrawingScores, check_metric_ids
+from .metrics import compute_metric, score_layout
 from .errors import SizeGuardError
 from .stats import average_ranks, spearman
 
@@ -160,17 +161,13 @@ def load_corpus_dir(directory: Path | str) -> list[tuple[str, Graph]]:
 
 
 def make_layouts(
-    graph: Graph,
-    distances: DistanceMatrix,
-    optimize_seed: int,
-    random_seed: int,
-    iterations: int = 100,
+    distances: DistanceMatrix, optimize_seed: int, random_seed: int, iterations: int = 100
 ) -> dict[str, Layout]:
-    """The three harness layout sources for one graph."""
+    """The three harness layout sources for the graph with these distances."""
     return {
-        "optimized": optimize_layout(graph, distances, optimize_seed, iterations),
-        "circle": circle_layout(graph.vertex_count),
-        "random": random_layout(graph.vertex_count, random_seed),
+        "optimized": optimize_layout(distances, optimize_seed, iterations),
+        "circle": circle_layout(distances.n),
+        "random": random_layout(distances.n, random_seed),
     }
 
 
@@ -192,20 +189,10 @@ def apply_scale_policy(layouts: dict[str, Layout], policy: str) -> dict[str, Lay
 
 
 @dataclass(frozen=True)
-class SourceResult:
-    """Scores of one layout source on one graph."""
-
-    scores: dict[str, float]
-    alpha_min: dict[str, float]
-    max_distance: float
-    skipped: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class TrialRecord:
     graph_id: str
     vertex_count: int
-    sources: dict[str, SourceResult]
+    sources: dict[str, DrawingScores]
 
 
 def run_trial(
@@ -227,16 +214,10 @@ def run_trial(
         if layout.n != d.n:
             raise ValueError(f"layout {name!r} has {layout.n} vertices, graph has {d.n}")
     metric_ids = check_metric_ids(metric_ids)
-    sources: dict[str, SourceResult] = {}
-    for name, layout in apply_scale_policy(layouts, policy).items():
-        e = pairwise_distances(layout)
-        scores, skipped = score_layout(e, d, metric_ids, force=drs_force)
-        sources[name] = SourceResult(
-            scores={m: value for m, (value, _, _) in scores.items()},
-            alpha_min={m: alpha for m, (_, alpha, _) in scores.items() if alpha is not None},
-            max_distance=e.max_distance,
-            skipped=skipped,
-        )
+    sources = {
+        name: score_layout(layout, d, metric_ids, force=drs_force)
+        for name, layout in apply_scale_policy(layouts, policy).items()
+    }
     return TrialRecord(graph_id=graph_id, vertex_count=d.n, sources=sources)
 
 
@@ -503,7 +484,7 @@ def _scored_trial(config: ExperimentConfig, task) -> TrialRecord | tuple[str, st
     graph_id, graph, optimize_seed, random_seed = task
     try:
         d = apsp(graph)
-        layouts = make_layouts(graph, d, optimize_seed, random_seed, config.optimizer_iterations)
+        layouts = make_layouts(d, optimize_seed, random_seed, config.optimizer_iterations)
         return run_trial(
             graph_id,
             d,
@@ -527,7 +508,8 @@ def _trial_workers(trials: int) -> int:
 
 
 def run_experiment(config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
-    """Run the full protocol on the seeded corpus; pure function of config.
+    """Run the full protocol on the seeded corpus. The scores, and so the
+    tables, are a pure function of config; each record's seconds are wall times.
 
     A failed trial is recorded and the run continues. ValueError when no
     trial succeeds (including an empty corpus); its message carries the
@@ -653,8 +635,8 @@ def _file_token(config: ExperimentConfig) -> str:
 def write_tables(result: ExperimentResult, out_dir: Path | str) -> list[Path]:
     """Write orders/correlations/trials CSVs and a JSON summary.
 
-    Output is a pure function of the experiment result: no timestamps or
-    wall-time readings, so identical runs produce bit-identical files.
+    Output is a pure function of the config: no timestamps and none of the
+    records' seconds are written, so identical runs give bit-identical files.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateLayoutError, ParseError
-from .graph import DistanceMatrix, Graph, upper_pairs
+from .graph import DistanceMatrix, upper_pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,13 +99,15 @@ def pairwise_distances(layout: Layout) -> LayoutDistances:
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
     x, y = layout.positions.T
-    e = x[:, None] - x
-    e *= e
-    for start in range(0, n, _ROW_BLOCK):
-        dy = y[start : start + _ROW_BLOCK, None] - y
-        dy *= dy
-        e[start : start + _ROW_BLOCK] += dy
-    np.sqrt(e, out=e)
+    # an overflow gives inf, which LayoutDistances refuses in one error
+    with np.errstate(over="ignore"):
+        e = x[:, None] - x
+        e *= e
+        for start in range(0, n, _ROW_BLOCK):
+            dy = y[start : start + _ROW_BLOCK, None] - y
+            dy *= dy
+            e[start : start + _ROW_BLOCK] += dy
+        np.sqrt(e, out=e)
     return LayoutDistances(e)
 
 
@@ -113,7 +115,9 @@ def scale_layout(layout: Layout, alpha: float) -> Layout:
     """Multiply every coordinate by alpha (> 0, finite)."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"scale factor must be a positive finite real, got {alpha}")
-    return Layout(layout.positions * alpha)
+    with np.errstate(over="ignore"):  # Layout refuses the inf in one error
+        positions = layout.positions * alpha
+    return Layout(positions)
 
 
 def scale_to_max_distance(layout: Layout, target: float) -> Layout:
@@ -142,12 +146,7 @@ def circle_layout(n: int) -> Layout:
     return Layout(np.column_stack([np.cos(angles), np.sin(angles)]))
 
 
-def optimize_layout(
-    graph: Graph,
-    distances: DistanceMatrix,
-    seed: int = 0,
-    iterations: int = 100,
-) -> Layout:
+def optimize_layout(distances: DistanceMatrix, seed: int = 0, iterations: int = 100) -> Layout:
     """Improve a random initial drawing by stress majorization (SMACOF).
 
     Starts from ``random_layout(n, seed)`` and minimizes the raw stress
@@ -161,15 +160,11 @@ def optimize_layout(
     next (Gansner, Koren & North, GD 2004). Setup inverts an n x n matrix,
     O(n^3), and every iteration holds a few n x n arrays, O(n^2) memory:
     meant for harness-size graphs, not thousands of vertices.
-    Deterministic for a fixed (graph, seed, iterations).
+    Deterministic for a fixed (distances, seed, iterations).
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     n = distances.n
-    if graph.vertex_count != n:
-        raise ValueError(
-            f"graph has {graph.vertex_count} vertices but distances are {n}x{n}"
-        )
     inv_d = np.divide(1.0, distances.d, out=np.zeros((n, n)), where=~np.eye(n, dtype=bool))
     weights = inv_d * inv_d
     laplacian = np.diag(weights.sum(axis=1)) - weights

@@ -335,31 +335,48 @@ def metric_alpha_min(metric_id: str, e: LayoutDistances, d: DistanceMatrix) -> f
     return None if quadratic is None else quadratic(e, d).alpha_min
 
 
+@dataclass(frozen=True)
+class DrawingScores:
+    """One drawing's scores: per scored metric its value and the seconds
+    compute_metric took, the optimal scale of rs, ns and sns, the drawing's
+    maximum pairwise distance, and the metrics the drs size guard skipped."""
+
+    scores: dict[str, float]
+    alpha_min: dict[str, float]
+    seconds: dict[str, float]
+    max_distance: float
+    skipped: tuple[str, ...]
+
+
 def score_layout(
-    e: LayoutDistances,
+    layout: Layout,
     d: DistanceMatrix,
     metric_ids,
     *,
     kk_params: KKParams | None = None,
     force: bool = False,
-) -> tuple[dict[str, tuple[float, float | None, float]], tuple[str, ...]]:
-    """Score one drawing: {metric_id: (value, alpha_min, seconds)}, skipped ids.
+) -> DrawingScores:
+    """Score one drawing under each metric of metric_ids.
 
-    seconds times the metric alone. drs is skipped when distance_ratio_stress
-    refuses it (SizeGuardError: too many vertices and force not set).
+    The drawing's distances live only in this call, so a caller scoring
+    drawings in turn holds one drawing's n x n distances at a time. drs is
+    skipped when distance_ratio_stress refuses it (SizeGuardError: too many
+    vertices and force not set).
     """
-    scores: dict[str, tuple[float, float | None, float]] = {}
-    skipped: list[str] = []
+    e = pairwise_distances(layout)
+    scores, alpha_min, seconds, skipped = {}, {}, {}, []
     for metric_id in metric_ids:
         t0 = time.perf_counter()
         try:
-            value = compute_metric(metric_id, e, d, kk_params=kk_params, force=force)
+            scores[metric_id] = compute_metric(metric_id, e, d, kk_params=kk_params, force=force)
         except SizeGuardError:
             skipped.append(metric_id)
             continue
-        seconds = time.perf_counter() - t0
-        scores[metric_id] = (value, metric_alpha_min(metric_id, e, d), seconds)
-    return scores, tuple(skipped)
+        seconds[metric_id] = time.perf_counter() - t0
+        alpha = metric_alpha_min(metric_id, e, d)
+        if alpha is not None:
+            alpha_min[metric_id] = alpha
+    return DrawingScores(scores, alpha_min, seconds, e.max_distance, tuple(skipped))
 
 
 def stress_curve(

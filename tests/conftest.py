@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
-from layoutstress import Graph, Layout, apsp, pairwise_distances
+from layoutstress import Graph, Layout, LayoutDistances, apsp, pairwise_distances
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +173,20 @@ def p2():
 
 
 def as_layout_distances(matrix: np.ndarray):
-    from layoutstress import LayoutDistances
-
     return LayoutDistances(np.asarray(matrix, dtype=float))
+
+
+@pytest.fixture
+def live_drawings(monkeypatch):
+    """For each LayoutDistances built during the test, how many built before
+    it were still alive then."""
+    refs, overlaps = [], []
+    original = LayoutDistances.__post_init__
+
+    def tracked(self):
+        overlaps.append(sum(ref() is not None for ref in refs))
+        refs.append(weakref.ref(self))
+        original(self)
+
+    monkeypatch.setattr(LayoutDistances, "__post_init__", tracked)
+    return overlaps

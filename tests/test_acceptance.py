@@ -75,8 +75,8 @@ def test_criterion_01_scale_invariance_suite():
         d = apsp(g)
         seeds = rng.integers(2**31, size=3)
         layouts = {
-            "optimized": optimize_layout(g, d, int(seeds[0]), iterations=100),
-            "halfway": optimize_layout(g, d, int(seeds[1]), iterations=8),
+            "optimized": optimize_layout(d, int(seeds[0]), iterations=100),
+            "halfway": optimize_layout(d, int(seeds[1]), iterations=8),
             "random": random_layout(n, int(seeds[2])),
         }
         for layout in layouts.values():

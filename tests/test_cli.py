@@ -75,13 +75,18 @@ class TestCompute:
         assert len(err) == 1 and err[0].startswith("input error:") and "'x'" in err[0]
         assert not (tmp_path / "r.json").exists()
 
+    def test_one_drawing_alive_at_a_time(self, p3_files, live_drawings, capsys):
+        graph, perfect, doubled = p3_files
+        assert main(["compute", str(graph), str(perfect), str(doubled), "--metrics", "rs,sgs,nms"]) == 0
+        assert len(live_drawings) == 2 and max(live_drawings) == 0, live_drawings
+
     def test_collapsed_layout_message(self, p3_files, tmp_path, capsys):
         graph, _, _ = p3_files
         collapsed = tmp_path / "collapsed.csv"
         collapsed.write_text(write_layout_csv(Layout(np.zeros((3, 2)))))
         assert main(["compute", str(graph), str(collapsed), "--metrics", "rs"]) == 2
         err = capsys.readouterr().err
-        assert err == "input error: all points coincide; optimal scale is undefined\n"
+        assert err == f"input error: {collapsed}: all points coincide; optimal scale is undefined\n"
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["compute", str(tmp_path / "absent.txt"), str(tmp_path / "x.csv")]) == 2
@@ -378,6 +383,9 @@ class TestExperimentConfigErrors:
 
 P3_EDGES = b"0 1\n1 2\n"
 P3_LAYOUT = b"id,x,y\n0,0.0,0.0\n1,1.0,0.0\n2,2.0,0.0\n"
+P3_COLLAPSED = b"id,x,y\n0,0.0,0.0\n1,0.0,0.0\n2,0.0,0.0\n"
+#: numpy warns on overflow; a warning turned error is a traceback, not one line
+NO_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.mark.parametrize(
@@ -402,10 +410,40 @@ P3_LAYOUT = b"id,x,y\n0,0.0,0.0\n1,1.0,0.0\n2,2.0,0.0\n"
             ["compute", "d.mtx", "l.csv"],
             "d.mtx: line 2: size line",
         ),
+        (
+            {"g.txt": P3_EDGES, "ok.csv": P3_LAYOUT, "same.csv": P3_COLLAPSED},
+            ["compute", "g.txt", "ok.csv", "same.csv", "--metrics", "ns"],
+            "same.csv: all points coincide",
+        ),
+        (
+            {"g.txt": P3_EDGES, "same.csv": P3_COLLAPSED},
+            ["curve", "g.txt", "same.csv", "--metric", "sns"],
+            "same.csv: all points coincide",
+        ),
+        pytest.param(
+            {"g.txt": P3_EDGES, "big.csv": b"id,x,y\n0,0.0,0.0\n1,1e200,0.0\n2,2.0,0.0\n"},
+            ["compute", "g.txt", "big.csv", "--metrics", "ns"],
+            "big.csv: layout distances contain non-finite entries",
+            marks=NO_WARNING,
+        ),
+        pytest.param(
+            {"g.txt": P3_EDGES, "l.csv": P3_LAYOUT},
+            ["curve", "g.txt", "l.csv", "--metric", "ns", "--alpha-grid", "1,1e308,3,log"],
+            "l.csv: layout distances contain non-finite entries",
+            marks=NO_WARNING,
+        ),
+        pytest.param(
+            {"g.txt": P3_EDGES, "l.csv": P3_LAYOUT},
+            ["curve", "g.txt", "l.csv", "--metric", "ns", "--alpha-grid", "1e308,1,3,log"],
+            "l.csv: layout contains non-finite coordinates",
+            marks=NO_WARNING,
+        ),
     ],
     ids=["malformed_corpus_file", "non_utf8_graph", "non_utf8_layout", "non_utf8_config",
          "unknown_config_metric", "comma_joined_config_metrics", "empty_config_metrics",
-         "bench_size_below_8", "truncated_matrix_market"],
+         "bench_size_below_8", "truncated_matrix_market", "collapsed_second_layout",
+         "collapsed_curve_layout", "overflowing_coordinate", "overflowing_curve_distances",
+         "overflowing_curve_coordinates"],
 )
 def test_refusal_names_its_input(tmp_path, monkeypatch, capsys, files, argv, named):
     """Each malformed input ends in exit 2 and one line naming the file or value."""

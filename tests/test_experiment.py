@@ -184,7 +184,7 @@ class TestScalePolicy:
     def test_paper_like_spans(self):
         g = corpus_graph(20, 0.1, np.random.default_rng(2))
         d = apsp(g)
-        layouts = make_layouts(g, d, 0, 1, iterations=30)
+        layouts = make_layouts(d, 0, 1, iterations=30)
         out = apply_scale_policy(layouts, "paper-like")
         assert pairwise_distances(out["optimized"]).max_distance == pytest.approx(800.0, abs=1e-9)
         assert pairwise_distances(out["circle"]).max_distance == pytest.approx(804.0, abs=1e-9)
@@ -208,21 +208,27 @@ class TestRunTrial:
     def test_policy_recorded_in_max_distance(self):
         g = corpus_graph(24, 0.1, np.random.default_rng(4))
         d = apsp(g)
-        layouts = make_layouts(g, d, 1, 2, iterations=30)
+        layouts = make_layouts(d, 1, 2, iterations=30)
         record = run_trial("g", d, layouts, ("ns",), "paper-like")
         assert record.sources["optimized"].max_distance == pytest.approx(800.0, abs=1e-9)
 
     def test_deterministic_scores(self):
         g = corpus_graph(20, 0.1, np.random.default_rng(6))
         d = apsp(g)
-        layouts = make_layouts(g, d, 3, 4, iterations=30)
+        layouts = make_layouts(d, 3, 4, iterations=30)
         r1 = run_trial("g", d, layouts, ("rs", "sns", "sgs"), "paper-like")
         r2 = run_trial("g", d, layouts, ("rs", "sns", "sgs"), "paper-like")
         assert r1.sources["random"].scores == r2.sources["random"].scores
 
+    def test_one_drawing_alive_at_a_time(self, live_drawings):
+        d = apsp(corpus_graph(12, 0.2, np.random.default_rng(2)))
+        run_trial("g", d, make_layouts(d, 1, 2, iterations=5), ("rs", "sgs", "nms"), "paper-like")
+        # two rescalings, then one scored drawing per source
+        assert len(live_drawings) == 5 and max(live_drawings) == 0, live_drawings
+
     def test_drs_skipped_above_guard(self):
         g = corpus_graph(70, 0.05, np.random.default_rng(8))
-        layouts = {"random": random_layout(70, 0), "circle": make_layouts(g, apsp(g), 0, 0, 1)["circle"]}
+        layouts = {"random": random_layout(70, 0), "circle": make_layouts(apsp(g), 0, 0, 1)["circle"]}
         record = run_trial("g", apsp(g), layouts, ("drs", "ns"), "as-is")
         assert record.sources["random"].skipped == ("drs",)
         assert "drs" not in record.sources["random"].scores
@@ -262,7 +268,7 @@ class TestOrderFrequencies:
         d = apsp(g)
         records = []
         for seed in (0, 1):
-            layouts = make_layouts(g, d, seed, seed + 10, iterations=40)
+            layouts = make_layouts(d, seed, seed + 10, iterations=40)
             records.append(run_trial(f"g{seed}", d, layouts, ("sgs",), "as-is"))
         table = order_frequencies(records)
         for record in records:
@@ -401,13 +407,14 @@ class TestExperiment:
         real = exp_mod.make_layouts
         spec = CorpusSpec(graphs=4, n_min=12, n_max=20, seed=9)
         failing_id, failing = generate_corpus(spec)[1]
+        failing_pairs = apsp(failing).pairs
 
-        # keyed on the graph, not on a call count: each worker process
-        # would count only the calls it made itself
-        def flaky(graph, distances, opt_seed, rand_seed, iterations=100):
-            if graph == failing:
+        # keyed on the graph's distances, which determine the graph, not on
+        # a call count: each worker process would count only its own calls
+        def flaky(distances, opt_seed, rand_seed, iterations=100):
+            if np.array_equal(distances.pairs, failing_pairs):
                 raise RuntimeError("synthetic layout failure")
-            return real(graph, distances, opt_seed, rand_seed, iterations)
+            return real(distances, opt_seed, rand_seed, iterations)
 
         monkeypatch.setattr(exp_mod, "make_layouts", flaky)
         config = ExperimentConfig(corpus=spec, optimizer_iterations=40)
@@ -434,7 +441,7 @@ class TestExperiment:
         rng = np.random.default_rng(31)
         for gid, g in corpus:
             d = apsp(g)
-            layouts = make_layouts(g, d, int(rng.integers(2**31)), int(rng.integers(2**31)), 200)
+            layouts = make_layouts(d, int(rng.integers(2**31)), int(rng.integers(2**31)), 200)
             normalized = {}
             for name, layout in layouts.items():
                 alpha = ns_quadratic(pairwise_distances(layout), d).alpha_min
@@ -460,20 +467,21 @@ POOL_SPEC = CorpusSpec(graphs=5, n_min=12, n_max=22, seed=11)
 def run_with_workers(monkeypatch):
     """run_experiment(config, workers) with the worker count forced. Every
     trial checks that it runs in a worker process when workers > 1 and in
-    this process otherwise, and fails if not; fail(graph) may name graphs
-    whose layouts raise, and die(graph) ones whose worker exits."""
+    this process otherwise, and fails if not; fail(distances) may name graphs
+    whose layouts raise, and die(distances) ones whose worker exits. A
+    graph's distances determine the graph (its edges are the pairs at 1)."""
     parent = os.getpid()
     real = exp_mod.make_layouts
 
-    def run(config, workers, fail=lambda graph: False, die=lambda graph: False):
-        def checked(graph, distances, opt_seed, rand_seed, iterations=100):
+    def run(config, workers, fail=lambda distances: False, die=lambda distances: False):
+        def checked(distances, opt_seed, rand_seed, iterations=100):
             if (os.getpid() != parent) != (workers > 1):
                 raise AssertionError(f"trial ran in process {os.getpid()}, parent {parent}")
-            if die(graph):
+            if die(distances):
                 os._exit(3)
-            if fail(graph):
-                raise RuntimeError(f"synthetic failure on {graph.vertex_count} vertices")
-            return real(graph, distances, opt_seed, rand_seed, iterations)
+            if fail(distances):
+                raise RuntimeError(f"synthetic failure on {distances.n} vertices")
+            return real(distances, opt_seed, rand_seed, iterations)
 
         monkeypatch.setattr(exp_mod, "_trial_workers", lambda trials: workers)
         monkeypatch.setattr(exp_mod, "make_layouts", checked)
@@ -512,10 +520,11 @@ class TestTrialPool:
     def test_failures_in_corpus_order(self, run_with_workers):
         corpus = generate_corpus(POOL_SPEC)
         failing = [corpus[1], corpus[3]]
+        failing_pairs = [apsp(g).pairs for _, g in failing]
         config = ExperimentConfig(corpus=POOL_SPEC, optimizer_iterations=40)
 
-        def fail(graph):
-            return any(graph == g for _, g in failing)
+        def fail(distances):
+            return any(np.array_equal(distances.pairs, pairs) for pairs in failing_pairs)
 
         pooled = run_with_workers(config, 2, fail=fail)
         serial = run_with_workers(config, 1, fail=fail)
@@ -525,10 +534,10 @@ class TestTrialPool:
         assert len(pooled.records) == 3
 
     def test_dead_worker_raises(self, run_with_workers):
-        _, doomed = generate_corpus(POOL_SPEC)[2]
+        doomed_pairs = apsp(generate_corpus(POOL_SPEC)[2][1]).pairs
         config = ExperimentConfig(corpus=POOL_SPEC, optimizer_iterations=40)
         with pytest.raises(BrokenProcessPool):
-            run_with_workers(config, 2, die=lambda graph: graph == doomed)
+            run_with_workers(config, 2, die=lambda d: np.array_equal(d.pairs, doomed_pairs))
         assert multiprocessing.active_children() == []
 
     def test_no_worker_left_after_run_or_refusal(self, run_with_workers):
@@ -536,5 +545,5 @@ class TestTrialPool:
         run_with_workers(config, 2)
         assert multiprocessing.active_children() == []
         with pytest.raises(ValueError, match="every trial failed"):
-            run_with_workers(config, 2, fail=lambda graph: True)
+            run_with_workers(config, 2, fail=lambda distances: True)
         assert multiprocessing.active_children() == []

@@ -351,7 +351,7 @@ class TestNormalizedStress:
             g = corpus_graph(int(rng.integers(20, 50)), 0.083, rng)
             d = apsp(g)
             optimized = scale_to_max_distance(
-                optimize_layout(g, d, seed=k, iterations=60), 800.0
+                optimize_layout(d, seed=k, iterations=60), 800.0
             )
             rand = random_layout(g.vertex_count, k)
             wins += normalized_stress(pairwise_distances(rand), d) < normalized_stress(
@@ -578,13 +578,13 @@ def test_scoring_never_imports_numpy_ma():
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from layoutstress import METRIC_IDS, apsp, pairwise_distances, random_layout\n"
+        "from layoutstress import METRIC_IDS, apsp, random_layout\n"
         "from layoutstress.experiment import bench_graph\n"
         "from layoutstress.metrics import score_layout\n"
         "d = apsp(bench_graph(30, np.random.default_rng(0)))\n"
         "ids = [m for m in METRIC_IDS if m != 'drs']\n"
-        "scores, _ = score_layout(pairwise_distances(random_layout(30, 1)), d, ids)\n"
-        "assert sorted(scores) == sorted(ids)\n"
+        "scored = score_layout(random_layout(30, 1), d, ids)\n"
+        "assert sorted(scored.scores) == sorted(ids)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(layoutstress.__file__).resolve().parents[1])
@@ -661,16 +661,16 @@ class TestCrossMetricInvariants:
     def test_score_layout_guards_drs_unless_forced(self):
         n = 65
         d = apsp(path_graph(n))
-        e = pairwise_distances(random_layout(n, 3))
-        scores, skipped = score_layout(e, d, ("drs", "ns"))
-        assert skipped == ("drs",) and list(scores) == ["ns"]
-        value, alpha, seconds = scores["ns"]
-        assert value == normalized_stress(e, d) and seconds >= 0.0
-        assert alpha == ns_quadratic(e, d).alpha_min
-        scores, skipped = score_layout(e, d, ("drs",), force=True)
-        assert skipped == () and list(scores) == ["drs"]
-        value, alpha, _ = scores["drs"]
-        assert value > 0.0 and alpha is None
+        layout = random_layout(n, 3)
+        e = pairwise_distances(layout)
+        scored = score_layout(layout, d, ("drs", "ns"))
+        assert scored.skipped == ("drs",) and list(scored.scores) == ["ns"]
+        assert scored.scores["ns"] == normalized_stress(e, d) and scored.seconds["ns"] >= 0.0
+        assert scored.alpha_min == {"ns": ns_quadratic(e, d).alpha_min}
+        assert scored.max_distance == e.max_distance
+        scored = score_layout(layout, d, ("drs",), force=True)
+        assert scored.skipped == () and list(scored.scores) == ["drs"]
+        assert scored.scores["drs"] > 0.0 and scored.alpha_min == {}
 
     def test_unknown_metric_rejected(self, p3):
         with pytest.raises(ValueError, match="unknown metric"):
