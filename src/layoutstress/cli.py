@@ -23,9 +23,17 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment as exp
+from .errors import SizeGuardError
 from .graph import Graph, apsp, largest_connected_component, read_graph_file
 from .layout import Layout, read_layout_csv
-from .metrics import METRIC_IDS, KKParams, check_metric_ids, score_layout, stress_curve
+from .metrics import (
+    DRS_MAX_VERTICES,
+    METRIC_IDS,
+    KKParams,
+    check_metric_ids,
+    score_layout,
+    stress_curve,
+)
 
 OUT_DIR_ENV = "LAYOUTSTRESS_OUT_DIR"
 
@@ -199,6 +207,12 @@ def _cmd_curve(args) -> int:
         points = stress_curve(
             layout, d, metric_ids[0], alphas, kk_params=kk_params, force=args.force
         )
+    except SizeGuardError:
+        # the graph's size is at fault, and the override is a flag here
+        raise ValueError(
+            f"{args.graph}: distance-ratio stress on {graph.vertex_count} vertices is refused"
+            f" above {DRS_MAX_VERTICES}; pass --force to compute anyway"
+        ) from None
     except ValueError as exc:
         raise ValueError(f"{args.layout}: {exc}") from exc
     report = {

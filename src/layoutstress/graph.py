@@ -155,9 +155,23 @@ class DistanceMatrix:
         1 B per pair up to 256 distinct distances (2 MB at n = 2000), 2 B up
         to 65,536, else 4 B."""
         pairs = self.pairs
-        # argsort rather than np.sort: the drawings' pair_order already runs
-        # its code, while np.sort's first call maps about 0.2 MB more of
-        # numpy's SIMD sort code into a small process
+        if self.max_distance < self.n:
+            # integer distances below n, as every apsp result has, are coded
+            # by a lookup: the code of level k is the number of distinct
+            # levels below it
+            levels = pairs.astype(np.min_scalar_type(self.n - 1))
+            if np.array_equal(levels, pairs):
+                present = np.zeros(self.n, dtype=bool)
+                present[levels] = True
+                lookup = np.cumsum(present) - 1
+                dtype = np.min_scalar_type(max(int(np.count_nonzero(present)) - 1, 0))
+                codes = lookup.astype(dtype)[levels]
+                codes.setflags(write=False)
+                return codes
+            del levels
+        # argsort rather than np.sort: shepard_goodness argsorts the drawing's
+        # float pairs anyway, while np.sort's first call maps about 0.2 MB
+        # more of numpy's SIMD sort code into a small process
         ordered = pairs[np.argsort(pairs)]
         distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
         dtype = np.min_scalar_type(max(distinct.size - 1, 0))

@@ -75,14 +75,6 @@ class LayoutDistances:
         lifetime: one C(n, 2) float64 vector, 16 MB at n = 2000."""
         return upper_pairs(self.e)
 
-    @cached_property
-    def pair_order(self) -> np.ndarray:
-        """Read-only argsort of pairs, cached for the object's lifetime: one
-        C(n, 2) int64 vector, 8 B per pair (16 MB at n = 2000)."""
-        order = np.argsort(self.pairs)
-        order.setflags(write=False)
-        return order
-
 
 #: rows of dy^2 that pairwise_distances adds at a time (2 MB at n = 1000)
 _ROW_BLOCK = 256

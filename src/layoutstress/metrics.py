@@ -28,12 +28,14 @@ n x n matrix. The metrics of one drawing, and the drawings of one graph,
 share them, and no metric reads a square matrix. Each sum metric works in
 place in one temporary vector of the same length.
 
-The rank metrics sgs and nms share two cached rank tables the same way:
-LayoutDistances.pair_order, the argsort of the drawing's pairs (int64, 8 B
-per pair), and DistanceMatrix.pair_codes, dense codes of the graph's
-distinct distances (1 B per pair up to 256 distinct distances, so 2 MB at
-n = 2000). The graph's average ranks are counted from its codes, without a
-sort.
+The rank metrics sgs and nms share one cached rank table the same way:
+DistanceMatrix.pair_codes, dense codes of the graph's distinct distances
+(1 B per pair up to 256 distinct distances, so 2 MB at n = 2000). Each
+metric sorts the drawing's pairs itself and drops the order when done, so
+beyond its inputs it holds at most two pair-length vectors: sgs argsorts
+the drawing's pairs to rank them and reads the graph's ranks from a table
+per code, and nms orders the drawing's pairs by code (a radix sort) and
+then sorts each group of equal graph distances in place.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 from .errors import DegenerateLayoutError, SizeGuardError
 from .graph import DistanceMatrix
 from .layout import Layout, LayoutDistances, pairwise_distances, scale_layout
-from .stats import isotonic_regression, rank_correlation, ranks_from_codes, ranks_from_order
+from .stats import isotonic_regression, rank_correlation_with_codes, ranks_from_order
 
 METRIC_IDS = ("rs", "kks", "ns", "sns", "sgs", "scs", "drs", "nms")
 
@@ -199,13 +201,19 @@ def scale_normalized_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
 def shepard_goodness(e: LayoutDistances, d: DistanceMatrix) -> float:
     """Spearman rank correlation between drawing and graph distances.
 
-    Equal to stats.spearman(e.pairs, d.pairs), from the shared rank tables:
-    the drawing is ranked along e.pair_order, the graph from d.pair_codes.
+    Equal to stats.spearman(e.pairs, d.pairs), bit for bit: the drawing is
+    ranked along an argsort of its pairs, dropped once the ranks are
+    written, and the graph's ranks come from d.pair_codes without a sort.
     """
     if e.n < 3:
         raise ValueError(f"need at least 3 vertices for a rank correlation, got {e.n}")
     ev, _ = _pair_vectors(e, d)
-    return rank_correlation(ranks_from_order(ev, e.pair_order), ranks_from_codes(d.pair_codes))
+    # built first, so building it never overlaps the order and the ranks
+    codes = d.pair_codes
+    order = np.argsort(ev)
+    ranks = ranks_from_order(ev, order)
+    del order
+    return rank_correlation_with_codes(ranks, codes)
 
 
 def shepard_constant_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
@@ -261,15 +269,27 @@ def distance_ratio_stress(
     return total
 
 
-def _nonmetric_from_pairs(ev: np.ndarray, order: np.ndarray, d_keys: np.ndarray) -> float:
-    """Stress of ev, given an order that sorts it and keys that sort as d."""
+def _tied_groups(codes: np.ndarray) -> list[tuple[int, int]]:
+    """The sorted positions [start, stop) of each code that two or more
+    pairs share, in code order; empty when every code is distinct."""
+    sizes = np.bincount(codes)
+    stops = np.cumsum(sizes)
+    tied = np.flatnonzero(sizes > 1)
+    return list(zip((stops[tied] - sizes[tied]).tolist(), stops[tied].tolist()))
+
+
+def _nonmetric_from_pairs(ev: np.ndarray, codes: np.ndarray) -> float:
+    """Stress of ev against dense codes (code k for the k-th smallest
+    distinct graph distance)."""
     if not np.any(ev):
         raise DegenerateLayoutError("all drawing distances are zero")
-    # order by d, ties by e; pairs tied on both are interchangeable. numpy's
-    # stable sort of uint8 or uint16 codes is a radix sort.
-    order = order[np.argsort(d_keys[order], kind="stable")]
-    y = ev[order]
-    del order
+    groups = _tied_groups(codes)
+    # order by d, ties by e; pairs tied on both hold equal values, so any
+    # order of them gives the same y. numpy's stable sort of uint8 or uint16
+    # codes is a radix sort.
+    y = ev[np.argsort(codes, kind="stable")]
+    for start, stop in groups:
+        y[start:stop].sort()
     resid = isotonic_regression(y)
     np.subtract(y, resid, out=resid)
     resid *= resid
@@ -284,7 +304,7 @@ def nonmetric_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
     regression of the drawing distances in that order.
     """
     ev, _ = _pair_vectors(e, d)
-    return _nonmetric_from_pairs(ev, e.pair_order, d.pair_codes)
+    return _nonmetric_from_pairs(ev, d.pair_codes)
 
 
 def check_metric_ids(ids) -> tuple[str, ...]:

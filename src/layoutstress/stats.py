@@ -25,35 +25,50 @@ def average_ranks(values) -> np.ndarray:
     return ranks_from_order(vals, np.argsort(vals))
 
 
+#: sorted positions that ranks_from_order handles at a time; its temporaries
+#: beyond the ranks and one byte per value are a few vectors of this length
+_RANK_CHUNK = 1 << 13
+
+
 def ranks_from_order(values: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Average ranks of values, given an order that sorts them.
 
-    A group of equal values at sorted positions [start, start + size) shares
-    the rank start + (size + 1) / 2, an exact half-integer, so any sorting
-    order gives the same ranks.
+    A group of equal values at sorted positions [start, stop) shares the
+    rank (start + stop + 1) / 2, an exact half-integer, so any sorting order
+    gives the same ranks. Besides the ranks it holds one byte per value, a
+    mask of where the sorted values change, and two vectors of the number of
+    groups when some values tie; everything else is done _RANK_CHUNK sorted
+    positions at a time.
     """
-    sorted_vals = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
-    del sorted_vals
-    sizes = np.diff(starts, append=order.size)
-    # in place, so at most three vectors of the number of groups are alive
-    group_ranks = sizes + 1.0
+    size = order.size
+    changes = np.empty(size, dtype=bool)
+    changes[:1] = True
+    for start in range(0, size, _RANK_CHUNK):
+        stop = min(start + _RANK_CHUNK, size)
+        sorted_vals = values[order[max(start - 1, 0) : stop]]
+        np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=changes[max(start, 1) : stop])
+        del sorted_vals
+    ranks = np.empty(size)
+    if changes.all():
+        for start in range(0, size, _RANK_CHUNK):
+            stop = min(start + _RANK_CHUNK, size)
+            ranks[order[start:stop]] = np.arange(start + 1.0, stop + 1.0)
+        return ranks
+    starts = np.flatnonzero(changes)
+    group_ranks = starts + 1.0
+    group_ranks[:-1] += starts[1:]
+    group_ranks[-1] += size
     group_ranks /= 2.0
-    group_ranks += starts
     del starts
-    sorted_ranks = np.repeat(group_ranks, sizes)
-    del group_ranks, sizes
-    ranks = np.empty(order.size)
-    ranks[order] = sorted_ranks
+    groups_before = 0
+    for start in range(0, size, _RANK_CHUNK):
+        stop = min(start + _RANK_CHUNK, size)
+        group = np.cumsum(changes[start:stop])
+        group += groups_before - 1
+        ranks[order[start:stop]] = group_ranks[group]
+        groups_before = int(group[-1]) + 1
+        del group
     return ranks
-
-
-def ranks_from_codes(codes: np.ndarray) -> np.ndarray:
-    """Average ranks of values given as dense codes (code k for the k-th
-    smallest distinct value), counted without a sort."""
-    sizes = np.bincount(codes)
-    starts = np.cumsum(sizes) - sizes
-    return (starts + (sizes + 1) / 2.0)[codes]
 
 
 def spearman(xs, ys) -> float:
@@ -78,17 +93,43 @@ def rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
     # average ranks are half-integers summing to n(n + 1) / 2, so each mean
     # is exactly (n + 1) / 2; identical rankings then centre to ry == rx and
     # mirrored ones to ry == -rx bitwise, and sqrt(fl(S * S)) == S, so the
-    # quotient below is exactly 1 or -1
+    # quotient in _correlation is exactly 1 or -1
     rx -= rx.mean()
     ry -= ry.mean()
     products = rx * rx
     sxx = np.sum(products)
     syy = np.sum(np.multiply(ry, ry, out=products))
+    return _correlation(sxx, syy, np.sum(np.multiply(rx, ry, out=products)))
+
+
+def rank_correlation_with_codes(rx: np.ndarray, codes: np.ndarray) -> float:
+    """rank_correlation(rx, average_ranks(codes)), bit for bit, for dense
+    codes (code k for the k-th smallest distinct value).
+
+    The codes' average ranks are counted per code, without a sort, and
+    centred in that table: its entries are the centred ranks
+    rank_correlation would compute, as the mean is exactly (n + 1) / 2.
+    Every product is then formed from the same two numbers as there and
+    summed in the same order. Centres rx in place; besides rx and the codes
+    it holds one vector of products.
+    """
+    sizes = np.bincount(codes)
+    table = np.cumsum(sizes) - sizes + (sizes + 1) / 2.0
+    table -= (codes.size + 1) / 2.0
+    rx -= rx.mean()
+    sxx = np.sum(rx * rx)
+    syy = np.sum((table * table)[codes])
+    products = table[codes]
+    products *= rx
+    return _correlation(sxx, syy, np.sum(products))
+
+
+def _correlation(sxx, syy, sxy) -> float:
+    """Pearson correlation from the centred sums of squares and of products."""
     denominator = float(np.sqrt(sxx * syy))
     if denominator == 0.0:
         raise ConstantSeriesError("rank correlation is undefined for a constant series")
-    rho = float(np.sum(np.multiply(rx, ry, out=products)) / denominator)
-    return min(1.0, max(-1.0, rho))
+    return min(1.0, max(-1.0, float(sxy / denominator)))
 
 
 # values pooled one at a time before a pooling search moves to numpy windows;

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from layoutstress import Layout, write_layout_csv
+from layoutstress import Layout, circle_layout, write_layout_csv
 from layoutstress.cli import main
 
 from conftest import grid_graph
@@ -165,6 +165,18 @@ class TestCurve:
         main(["curve", str(graph), str(stretched), "--metric", "kks",
               "--alpha-grid", "1,2,2,linear", "--l0", "3.0", "--out", str(out_frozen)])
         assert out_default.read_text() != out_frozen.read_text()
+
+    def test_drs_size_guard_names_the_graph_and_the_flag(self, tmp_path, capsys):
+        n = 70
+        graph = tmp_path / "g70.txt"
+        graph.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+        layout = tmp_path / "l70.csv"
+        layout.write_text(write_layout_csv(circle_layout(n)))
+        assert main(["curve", str(graph), str(layout), "--metric", "drs"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"input error: {graph}: ") and "--force" in err
+        assert "l70.csv" not in err and "force=True" not in err
 
     def test_bad_grid_exits_1(self, p3_files):
         graph, perfect, _ = p3_files

@@ -92,6 +92,36 @@ class TestDistanceMatrix:
         assert d.pair_codes.dtype == dtype
         assert d.pair_codes.tolist() == ranks.tolist()
 
+    @staticmethod
+    def _sorted_codes(m: np.ndarray) -> np.ndarray:
+        """pair_codes by the sort, forced by a half offset off the diagonal."""
+        return DistanceMatrix(m + 0.5 * (m > 0)).pair_codes
+
+    @pytest.mark.parametrize("case", ["gaps", "single", "path-258"])
+    def test_lookup_codes_equal_sorted_codes(self, case):
+        if case == "gaps":
+            n = 8  # levels {1, 3, 7}, all below n
+            i, j = np.triu_indices(n, 1)
+            m = np.zeros((n, n))
+            m[i, j] = m[j, i] = np.array([1.0, 3.0, 7.0])[np.arange(i.size) % 3]
+        elif case == "single":
+            m = apsp(complete_graph(6)).d
+        else:
+            m = apsp(path_graph(258)).d  # 257 distinct levels
+        lookup = DistanceMatrix(m).pair_codes
+        expected = self._sorted_codes(m)
+        assert lookup.dtype == expected.dtype
+        assert np.array_equal(lookup, expected)
+        assert lookup.dtype == {"gaps": np.uint8, "single": np.uint8, "path-258": np.uint16}[case]
+        with pytest.raises(ValueError, match="read-only"):
+            lookup[0] = 1
+
+    def test_integer_distances_from_n_up_are_sorted(self):
+        # levels at or above n are coded by the sort
+        d = DistanceMatrix(_p3_square((0, 2, 9.0), (2, 0, 9.0)))
+        assert d.pairs.tolist() == [1.0, 9.0, 1.0]
+        assert d.pair_codes.tolist() == [0, 1, 0]
+
     @pytest.mark.parametrize("n", [2, 64, 129])
     def test_keeps_only_the_condensed_pairs(self, n):
         d = apsp(path_graph(n))

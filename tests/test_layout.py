@@ -65,14 +65,6 @@ class TestPairwiseDistances:
         with pytest.raises(ValueError, match="read-only"):
             e.pairs[0] = 1.0
 
-    def test_pair_order_cached_and_read_only(self):
-        # pairs: 5, sqrt(117), 1, sqrt(34), sqrt(18), 10
-        e = pairwise_distances(Layout(np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 9.0], [0.0, 1.0]])))
-        assert e.pair_order is e.pair_order
-        assert e.pair_order.tolist() == [2, 4, 0, 3, 5, 1]
-        with pytest.raises(ValueError, match="read-only"):
-            e.pair_order[0] = 1
-
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             pairwise_distances(Layout(np.zeros((1, 2))))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from layoutstress import (
     stress_curve,
 )
 from layoutstress.experiment import bench_graph
-from layoutstress.metrics import _nonmetric_from_pairs, _pair_vectors, score_layout
+from layoutstress.metrics import _nonmetric_from_pairs, _pair_vectors, _tied_groups, score_layout
 
 from conftest import (
     as_layout_distances,
@@ -496,8 +497,8 @@ class TestNonmetricStress:
     def test_two_pair_hand_fixture(self):
         # anti-monotone pair values pool to their mean: fit (1.5, 1.5),
         # stress sqrt(0.5 / 5)
-        ev, dv = np.array([2.0, 1.0]), np.array([1.0, 2.0])
-        value = _nonmetric_from_pairs(ev, np.argsort(ev), dv)
+        ev, codes = np.array([2.0, 1.0]), np.array([0, 1], dtype=np.uint8)
+        value = _nonmetric_from_pairs(ev, codes)
         assert value == pytest.approx(math.sqrt(0.5 / 5))
 
     def test_tie_order_matches_pair_index_order(self):
@@ -536,8 +537,8 @@ def _nms_by_float_sort(ev, dv):
 
 
 class TestSharedRankTables:
-    """sgs and nms from the cached pair_order and pair_codes are bit-equal
-    to spearman and to an nms that sorts the float distances."""
+    """sgs and nms from the cached pair_codes are bit-equal to spearman and
+    to an nms that sorts the float distances."""
 
     @staticmethod
     def _check(e, d):
@@ -565,11 +566,40 @@ class TestSharedRankTables:
         n = 200
         d = apsp(bench_graph(n, np.random.default_rng(1)))
         e = pairwise_distances(random_layout(n, 4))
-        arrays = (e.e, e.pairs, e.pair_order, d.pairs, d.pair_codes)
+        arrays = (e.e, e.pairs, d.pairs, d.pair_codes)
         before = [a.copy() for a in arrays]
         first = (shepard_goodness(e, d), nonmetric_stress(e, d))
         assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
         assert (shepard_goodness(e, d), nonmetric_stress(e, d)) == first
+
+    def test_tied_groups_are_the_code_groups(self):
+        # path P5: four pairs at distance 1, three at 2, two at 3, one at 4
+        d = apsp(path_graph(5))
+        assert _tied_groups(d.pair_codes) == [(0, 4), (4, 7), (7, 9)]
+
+    def test_all_distinct_distances_sort_no_group(self):
+        d = DistanceMatrix(pairwise_distances(random_layout(200, 2)).e)
+        assert _tied_groups(d.pair_codes) == []
+        e = pairwise_distances(circle_layout(200))
+        assert nonmetric_stress(e, d) == _nms_by_float_sort(e.pairs, d.pairs)
+
+    @pytest.mark.parametrize("metric", [shepard_goodness, nonmetric_stress])
+    @pytest.mark.parametrize("drawing", ["random", "circle"])
+    def test_traced_peak_stays_below_two_and_a_half_vectors(self, metric, drawing):
+        # beyond its inputs a rank metric holds at most two pair-length
+        # vectors, a byte per pair and short temporaries
+        n = 600
+        d = apsp(bench_graph(n, np.random.default_rng(3)))
+        layout = random_layout(n, 5) if drawing == "random" else circle_layout(n)
+        e = pairwise_distances(layout)
+        assert e.pairs.size == d.pair_codes.size  # the cached inputs, built before tracing
+        tracemalloc.start()
+        try:
+            metric(e, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * (n * (n - 1) // 2)
 
 
 def test_scoring_never_imports_numpy_ma():

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from layoutstress import ConstantSeriesError, average_ranks, isotonic_regression, spearman
-from layoutstress.stats import rank_correlation, ranks_from_codes, ranks_from_order
+from layoutstress.stats import (
+    _RANK_CHUNK,
+    rank_correlation,
+    rank_correlation_with_codes,
+    ranks_from_order,
+)
 
 from conftest import isotonic_by_enumeration
 
@@ -60,12 +65,26 @@ class TestAverageRanks:
             stable = np.argsort(vals, kind="stable")
             assert np.array_equal(ranks_from_order(vals, stable), expected)
 
-    def test_ranks_from_codes_match_average_ranks(self):
-        rng = np.random.default_rng(5)
-        for k in range(50):
-            codes = rng.permutation(np.repeat(np.arange(1 + k % 9), rng.integers(1, 20, size=1 + k % 9)))
-            codes = codes.astype(np.uint8)
-            assert np.array_equal(ranks_from_codes(codes), average_ranks(codes))
+    @pytest.mark.parametrize(
+        "size", [_RANK_CHUNK - 1, _RANK_CHUNK, _RANK_CHUNK + 1, 2 * _RANK_CHUNK + 1]
+    )
+    @pytest.mark.parametrize("ties", ["none", "few", "many"])
+    def test_ranks_from_order_across_chunks(self, size, ties):
+        # groups that straddle a chunk boundary keep one rank
+        rng = np.random.default_rng(size)
+        vals = rng.permutation(size).astype(float)
+        if ties == "few":
+            # the two largest, which straddle a chunk boundary at C + 1 and 2C + 1
+            vals[vals == size - 1] = size - 2.0
+        elif ties == "many":
+            vals //= 7.0
+        expected = average_ranks(vals)
+        if ties == "none":
+            assert np.array_equal(expected, vals + 1.0)
+        for kind in ("quicksort", "stable"):
+            order = np.argsort(vals, kind=kind)
+            assert np.array_equal(ranks_from_order(vals, order), expected)
+
 
     def test_matches_scipy_rankdata_on_ties(self):
         stats = pytest.importorskip("scipy.stats")
@@ -79,6 +98,50 @@ class TestAverageRanks:
         for x in inputs:
             ranks = average_ranks(x)
             assert np.array_equal(ranks, stats.rankdata(x, method="average"))
+
+
+class TestRankCorrelationWithCodes:
+    """Bit-equal to rank_correlation against the codes' average ranks."""
+
+    @staticmethod
+    def _expected(rx, codes):
+        return rank_correlation(rx.copy(), average_ranks(codes))
+
+    def test_matches_average_ranks(self):
+        rng = np.random.default_rng(5)
+        for k in range(50):
+            size = 1 + k % 9
+            codes = np.repeat(np.arange(size), rng.integers(1, 20, size=size))
+            codes = rng.permutation(codes).astype(np.uint8)
+            if k % 3:
+                rx = average_ranks(rng.normal(size=codes.size))
+            else:
+                rx = average_ranks(rng.integers(0, 4, size=codes.size))
+            if np.all(codes == codes[0]) or np.all(rx == rx[0]):
+                continue
+            assert rank_correlation_with_codes(rx.copy(), codes) == self._expected(rx, codes)
+
+    def test_hop_count_sized(self):
+        rng = np.random.default_rng(6)
+        codes = rng.integers(0, 12, size=300_000).astype(np.uint8)
+        rx = average_ranks(rng.normal(size=codes.size) + codes)
+        assert rank_correlation_with_codes(rx.copy(), codes) == self._expected(rx, codes)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_identical_and_mirrored_rankings_are_exact(self, dtype):
+        codes = np.random.default_rng(7).integers(0, 300, size=5000).astype(dtype)
+        codes = np.flatnonzero(np.bincount(codes)).searchsorted(codes).astype(dtype)
+        ranks = average_ranks(codes)
+        assert rank_correlation_with_codes(ranks.copy(), codes) == 1.0
+        assert rank_correlation_with_codes(codes.size + 1.0 - ranks, codes) == -1.0
+        assert self._expected(ranks, codes) == 1.0
+
+    def test_constant_series_rejected(self):
+        codes = np.array([0, 1, 2, 1], dtype=np.uint8)
+        with pytest.raises(ConstantSeriesError):
+            rank_correlation_with_codes(np.full(4, 2.5), codes)
+        with pytest.raises(ConstantSeriesError):
+            rank_correlation_with_codes(np.arange(1.0, 5.0), np.zeros(4, dtype=np.uint8))
 
 
 class TestSpearman:
