@@ -301,9 +301,16 @@ def _cmd_bench(args) -> int:
     except ValueError:
         raise _UsageError(f"malformed size list {args.sizes!r}") from None
     metric_ids = _parse_metric_list(args.metrics)
-    result = exp.runtime_benchmark(
-        sizes, metric_ids, repetitions=args.reps, seed=args.seed, force=args.force
-    )
+    try:
+        result = exp.runtime_benchmark(
+            sizes, metric_ids, repetitions=args.reps, seed=args.seed, force=args.force
+        )
+    except SizeGuardError:
+        # the override is a flag here, as in curve
+        raise ValueError(
+            f"drs is benchmarked only up to {exp.BENCH_DRS_MAX_VERTICES} vertices and --sizes"
+            f" reaches {max(sizes)}; pass --force to measure anyway"
+        ) from None
     report = {
         "command": "bench",
         "config": {

@@ -365,13 +365,13 @@ def runtime_benchmark(
     one until their summed time reaches BENCH_SAMPLE_FLOOR_SECONDS, and the
     sample is their mean, so sub-millisecond calls are not timed singly. The
     graphs and drawings of all sizes are held at once. Every timed
-    evaluation gets distance objects built outside the timed region, whose
-    drawing pair vector and rank tables are not yet cached: it pays the
-    drawing's pair extraction, and sgs and nms their own pair order and
-    codes. The graph's pair vector is extracted when its object is built,
-    so no timed call pays for it. An empty size list and sizes below
-    MIN_CORPUS_VERTICES are refused, and drs above BENCH_DRS_MAX_VERTICES
-    unless force is set.
+    evaluation gets a drawing's distance object built outside the timed
+    region, whose pair vector is not yet cached: it pays the drawing's pair
+    extraction, and sgs and nms their own sort of it. Every call shares the
+    graph's distances, which cache nothing a call could reuse: apsp built
+    their pair vector, and its hop levels are their own rank codes. An
+    empty size list and sizes below MIN_CORPUS_VERTICES are refused, and
+    drs above BENCH_DRS_MAX_VERTICES unless force is set.
     """
     sizes = [int(n) for n in sizes]
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
@@ -400,9 +400,9 @@ def runtime_benchmark(
         for _, metric_id, e, d, samples in cases:
             calls, spent = 0, 0.0
             while spent < BENCH_SAMPLE_FLOOR_SECONDS:
-                fresh_e, fresh_d = LayoutDistances(e.e), DistanceMatrix(d.d)
+                fresh_e = LayoutDistances(e.e)
                 t0 = time.perf_counter()
-                compute_metric(metric_id, fresh_e, fresh_d, force=True)
+                compute_metric(metric_id, fresh_e, d, force=True)
                 spent += time.perf_counter() - t0
                 calls += 1
             samples.append(spent / calls)

@@ -1,14 +1,14 @@
 """Graph ingestion and all-pairs shortest paths.
 
 Graphs are undirected, simple, unweighted, with contiguous vertex ids.
-Graph-theoretic distances are hop counts, kept condensed: one float per
-unordered vertex pair, in the pair order of upper_pairs.
+Graph-theoretic distances are hop counts, kept condensed: one integer level
+per unordered vertex pair, in the pair order of upper_pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -76,19 +76,13 @@ class Graph:
         return nbr, starts
 
 
-@lru_cache(maxsize=128)
-def _triu(n: int) -> np.ndarray:
-    mask = np.triu(np.ones((n, n), dtype=bool), 1)
-    mask.setflags(write=False)
-    return mask
-
-
 def upper_pairs(m: np.ndarray) -> np.ndarray:
     """Read-only vector of m[i, j] over the pairs i<j in row-major order.
 
-    This is the one place the pair order of every metric is defined.
+    This is the one place the pair order of every metric is defined. The
+    n x n mask is built per call, as a cached one would outlive the matrix.
     """
-    pairs = m[_triu(m.shape[0])]
+    pairs = m[~np.tri(m.shape[0], dtype=bool)]
     pairs.setflags(write=False)
     return pairs
 
@@ -98,12 +92,12 @@ class DistanceMatrix:
     """Positive pairwise distances of n vertices, kept condensed.
 
     Built from a symmetric n x n matrix with a zero diagonal, which is
-    validated and then dropped: the object keeps n and the read-only pair
-    vector, one C(n, 2) float64 vector (16 MB at n = 2000), about half the
-    bytes of the square matrix. An integer or float array is validated in
-    its own dtype, and only its pairs are converted to float64. The metrics
-    read only the pair vector and the rank table pair_codes; d rebuilds the
-    square matrix for the callers that want one.
+    validated in its own dtype and then dropped: the object keeps n and the
+    read-only pair vector. Integer pairs, such as the hop levels of apsp,
+    are kept in the smallest unsigned dtype that holds the largest one (1 B
+    per pair up to 255, so 2 MB at n = 2000); float pairs as float64 (8 B
+    per pair). The metrics read only the pair vector and the rank table
+    pair_codes; d rebuilds the square matrix for the callers that want one.
     """
 
     square: InitVar[np.ndarray]
@@ -128,7 +122,9 @@ class DistanceMatrix:
             raise ValueError("off-diagonal distances must be positive")
         object.__setattr__(self, "n", d.shape[0])
         # upper_pairs copies, so the caller's matrix is not kept
-        pairs = upper_pairs(d).astype(float, copy=False)
+        pairs = upper_pairs(d)
+        dtype = np.min_scalar_type(pairs.max(initial=0)) if d.dtype.kind in "iu" else float
+        pairs = pairs.astype(dtype, copy=False)
         pairs.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)
 
@@ -136,7 +132,7 @@ class DistanceMatrix:
     def d(self) -> np.ndarray:
         """The symmetric n x n float64 matrix, rebuilt read-only from pairs on
         each access (32 MB at n = 2000)."""
-        mask = _triu(self.n)
+        mask = ~np.tri(self.n, dtype=bool)
         d = np.zeros((self.n, self.n))
         d[mask] = self.pairs
         d.T[mask] = self.pairs
@@ -145,30 +141,20 @@ class DistanceMatrix:
 
     @property
     def max_distance(self) -> float:
-        return float(self.pairs.max(initial=0.0))
+        return float(self.pairs.max(initial=0))
 
     @cached_property
     def pair_codes(self) -> np.ndarray:
-        """Read-only dense codes of pairs (code k for the k-th smallest distinct
-        distance), which sort and tie exactly as the distances do. Cached for
-        the object's lifetime in the smallest unsigned dtype that holds them:
-        1 B per pair up to 256 distinct distances (2 MB at n = 2000), 2 B up
-        to 65,536, else 4 B."""
+        """Read-only codes of the pairs that sort and tie as the distances do.
+
+        Unsigned integer pairs below n, as apsp's levels are, are their own
+        codes (a level no pair has is an empty bin of a per-code table). The
+        dtype decides, not the values: other pairs, a float square of whole
+        numbers too, get dense codes from a slower sort, cached in the
+        smallest unsigned dtype that holds them."""
         pairs = self.pairs
-        if self.max_distance < self.n:
-            # integer distances below n, as every apsp result has, are coded
-            # by a lookup: the code of level k is the number of distinct
-            # levels below it
-            levels = pairs.astype(np.min_scalar_type(self.n - 1))
-            if np.array_equal(levels, pairs):
-                present = np.zeros(self.n, dtype=bool)
-                present[levels] = True
-                lookup = np.cumsum(present) - 1
-                dtype = np.min_scalar_type(max(int(np.count_nonzero(present)) - 1, 0))
-                codes = lookup.astype(dtype)[levels]
-                codes.setflags(write=False)
-                return codes
-            del levels
+        if pairs.dtype.kind == "u" and self.max_distance < self.n:
+            return pairs
         # argsort rather than np.sort: shepard_goodness argsorts the drawing's
         # float pairs anyway, while np.sort's first call maps about 0.2 MB
         # more of numpy's SIMD sort code into a small process
@@ -381,10 +367,11 @@ def apsp(graph: Graph) -> DistanceMatrix:
     O(diam*(V+E)*ceil(V/64)) word operations and O(diam*V^2) unpacked bits
     in all. The levels are counted in a V x V array of the smallest unsigned
     integer type that holds V - 1 (2 B per entry up to 65,536 vertices),
-    which DistanceMatrix validates in that type and condenses to float64
-    pairs. Besides these it holds V x ceil(V/64) words of frontier and of
-    unreached sources, (V+2E) x ceil(V/64) gathered words, and a V x V byte
-    array of unpacked bits.
+    which DistanceMatrix validates in that type and condenses to pairs in
+    the smallest unsigned type that holds the diameter. Besides these it
+    holds V x ceil(V/64) words of frontier and of unreached sources,
+    (V+2E) x ceil(V/64) gathered words, and a V x V byte array of unpacked
+    bits.
 
     Raises DisconnectedGraphError naming vertex 0 and the smallest vertex
     it cannot reach if the graph is not connected.

@@ -21,16 +21,16 @@ and the scale at which two drawings' curves cross (crossing, alpha*).
 
 All sums run over unordered pairs i<j in the row-major order of
 graph.upper_pairs; numpy's pairwise accumulation bounds floating-point
-drift. Each side keeps that vector (one C(n, 2) float64 vector, 16 MB at
-n = 2000) for the object's lifetime: DistanceMatrix.pairs is all a graph's
-distances keep, and LayoutDistances.pairs is cached beside the drawing's
-n x n matrix. The metrics of one drawing, and the drawings of one graph,
-share them, and no metric reads a square matrix. Each sum metric works in
-place in one temporary vector of the same length.
+drift. Each side keeps that vector for the object's lifetime:
+DistanceMatrix.pairs, hop levels in the smallest unsigned dtype (2 MB at
+n = 2000), is all a graph's distances keep, and LayoutDistances.pairs
+(float64, 16 MB) is cached beside the drawing's n x n matrix. The metrics
+of one drawing, and the drawings of one graph, share them, and no metric
+reads a square matrix. Each sum metric works in place in one float64
+temporary of the same length, to which the levels promote exactly.
 
-The rank metrics sgs and nms share one cached rank table the same way:
-DistanceMatrix.pair_codes, dense codes of the graph's distinct distances
-(1 B per pair up to 256 distinct distances, so 2 MB at n = 2000). Each
+The rank metrics sgs and nms share one rank table the same way:
+DistanceMatrix.pair_codes, for hop levels the pair vector itself. Each
 metric sorts the drawing's pairs itself and drops the order when done, so
 beyond its inputs it holds at most two pair-length vectors: sgs argsorts
 the drawing's pairs to rank them and reads the graph's ranks from a table
@@ -140,7 +140,7 @@ def raw_stress_quadratic(e: LayoutDistances, d: DistanceMatrix) -> QuadraticStre
     return QuadraticStressForm(
         a=float(np.sum(ev * ev)),
         b=-2.0 * float(np.sum(ev * dv)),
-        c=float(np.sum(dv * dv)),
+        c=float(np.sum(np.square(dv, dtype=float))),
     )
 
 
@@ -279,8 +279,8 @@ def _tied_groups(codes: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _nonmetric_from_pairs(ev: np.ndarray, codes: np.ndarray) -> float:
-    """Stress of ev against dense codes (code k for the k-th smallest
-    distinct graph distance)."""
+    """Stress of ev against unsigned codes that sort and tie as the graph
+    distances do (DistanceMatrix.pair_codes)."""
     if not np.any(ev):
         raise DegenerateLayoutError("all drawing distances are zero")
     groups = _tied_groups(codes)

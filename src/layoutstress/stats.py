@@ -103,8 +103,8 @@ def rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
 
 
 def rank_correlation_with_codes(rx: np.ndarray, codes: np.ndarray) -> float:
-    """rank_correlation(rx, average_ranks(codes)), bit for bit, for dense
-    codes (code k for the k-th smallest distinct value).
+    """rank_correlation(rx, average_ranks(codes)), bit for bit, for unsigned
+    integer codes; a code no value has is an empty bin, which nothing reads.
 
     The codes' average ranks are counted per code, without a sort, and
     centred in that table: its entries are the centred ranks

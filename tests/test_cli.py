@@ -7,6 +7,7 @@ import pytest
 
 from layoutstress import Layout, circle_layout, write_layout_csv
 from layoutstress.cli import main
+from layoutstress.experiment import BENCH_DRS_MAX_VERTICES
 
 from conftest import grid_graph
 from layoutstress import serialize_edge_list
@@ -197,6 +198,13 @@ class TestBench:
     def test_drs_size_guard_refused(self, capsys):
         assert main(["bench", "--sizes", "10,100", "--metrics", "drs", "--reps", "3"]) == 2
         assert "drs" in capsys.readouterr().err
+
+    def test_drs_size_guard_names_the_limit_and_the_flag(self, capsys):
+        assert main(["bench", "--sizes", "10,100", "--metrics", "drs", "--reps", "3"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"up to {BENCH_DRS_MAX_VERTICES} vertices" in err and "reaches 100" in err
+        assert "--force" in err and "pass force" not in err
 
     def test_drs_force_overrides(self, tmp_path):
         out = tmp_path / "bench.csv"

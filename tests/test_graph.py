@@ -13,11 +13,16 @@ from layoutstress import (
     LayoutDistances,
     ParseError,
     apsp,
+    circle_layout,
     connected_components,
     largest_connected_component,
+    nonmetric_stress,
+    pairwise_distances,
     parse_edge_list,
     parse_matrix_market,
+    random_layout,
     serialize_edge_list,
+    shepard_goodness,
 )
 from layoutstress.graph import read_graph_file
 
@@ -72,12 +77,11 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="read-only"):
             d.pairs[0] = 5.0
 
-    def test_pair_codes_cached_read_only_and_dense(self):
+    def test_pair_codes_are_the_levels(self):
         d = apsp(path_graph(4))
-        assert d.pairs.tolist() == [1.0, 2.0, 3.0, 1.0, 2.0, 1.0]
-        assert d.pair_codes is d.pair_codes
+        assert d.pairs.tolist() == [1, 2, 3, 1, 2, 1]
+        assert d.pair_codes is d.pairs
         assert d.pair_codes.dtype == np.uint8
-        assert d.pair_codes.tolist() == [0, 1, 2, 0, 1, 0]
         with pytest.raises(ValueError, match="read-only"):
             d.pair_codes[0] = 1
 
@@ -92,34 +96,27 @@ class TestDistanceMatrix:
         assert d.pair_codes.dtype == dtype
         assert d.pair_codes.tolist() == ranks.tolist()
 
-    @staticmethod
-    def _sorted_codes(m: np.ndarray) -> np.ndarray:
-        """pair_codes by the sort, forced by a half offset off the diagonal."""
-        return DistanceMatrix(m + 0.5 * (m > 0)).pair_codes
+    def test_integer_levels_with_gaps_score_as_floats(self):
+        n = 8  # levels {1, 3, 7}, all below n, so the levels are the codes
+        i, j = np.triu_indices(n, 1)
+        m = np.zeros((n, n), dtype=np.int64)
+        m[i, j] = m[j, i] = np.array([1, 3, 7])[np.arange(i.size) % 3]
+        levels, floats = DistanceMatrix(m), DistanceMatrix(m.astype(float))
+        assert levels.pair_codes is levels.pairs and levels.pairs.dtype == np.uint8
+        assert floats.pair_codes.tolist() == np.searchsorted([1, 3, 7], m[i, j]).tolist()
+        for layout in (random_layout(n, 0), circle_layout(n)):
+            e = pairwise_distances(layout)
+            assert shepard_goodness(e, levels) == shepard_goodness(e, floats)
+            assert nonmetric_stress(e, levels) == nonmetric_stress(e, floats)
 
-    @pytest.mark.parametrize("case", ["gaps", "single", "path-258"])
-    def test_lookup_codes_equal_sorted_codes(self, case):
-        if case == "gaps":
-            n = 8  # levels {1, 3, 7}, all below n
-            i, j = np.triu_indices(n, 1)
-            m = np.zeros((n, n))
-            m[i, j] = m[j, i] = np.array([1.0, 3.0, 7.0])[np.arange(i.size) % 3]
-        elif case == "single":
-            m = apsp(complete_graph(6)).d
-        else:
-            m = apsp(path_graph(258)).d  # 257 distinct levels
-        lookup = DistanceMatrix(m).pair_codes
-        expected = self._sorted_codes(m)
-        assert lookup.dtype == expected.dtype
-        assert np.array_equal(lookup, expected)
-        assert lookup.dtype == {"gaps": np.uint8, "single": np.uint8, "path-258": np.uint16}[case]
-        with pytest.raises(ValueError, match="read-only"):
-            lookup[0] = 1
-
-    def test_integer_distances_from_n_up_are_sorted(self):
+    @pytest.mark.parametrize(
+        "dtype, kept", [(np.float64, np.float64), (np.int64, np.uint8)], ids=["float64", "int64"]
+    )
+    def test_integer_distances_from_n_up_are_sorted(self, dtype, kept):
         # levels at or above n are coded by the sort
-        d = DistanceMatrix(_p3_square((0, 2, 9.0), (2, 0, 9.0)))
-        assert d.pairs.tolist() == [1.0, 9.0, 1.0]
+        d = DistanceMatrix(_p3_square((0, 2, 9), (2, 0, 9)).astype(dtype))
+        assert d.pairs.tolist() == [1, 9, 1] and d.pairs.dtype == kept
+        assert d.pair_codes is not d.pairs
         assert d.pair_codes.tolist() == [0, 1, 0]
 
     @pytest.mark.parametrize("n", [2, 64, 129])
@@ -129,8 +126,8 @@ class TestDistanceMatrix:
         def arrays():
             return [v for v in vars(d).values() if isinstance(v, np.ndarray)]
 
-        assert sum(a.nbytes for a in arrays()) == 8 * (n * (n - 1) // 2)
-        assert d.pair_codes.nbytes == n * (n - 1) // 2
+        assert sum(a.nbytes for a in arrays()) == n * (n - 1) // 2
+        assert d.pair_codes is d.pairs
         assert all(a.shape != (n, n) for a in arrays())
 
     def test_square_matrix_is_rebuilt_read_only(self):
@@ -188,11 +185,18 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match=message):
             DistanceMatrix(_p3_square(*edits).astype(dtype))
 
-    def test_apsp_pairs_are_read_only_float64(self):
+    def test_apsp_pairs_are_read_only_uint8(self):
         g = grid_graph(4, 5)
         d = apsp(g)
-        assert d.pairs.dtype == np.float64 and not d.pairs.flags.writeable
+        assert d.pairs.dtype == np.uint8 and not d.pairs.flags.writeable
         assert np.array_equal(d.pairs, DistanceMatrix(floyd_warshall(g)).pairs)
+
+    @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_apsp_pairs_take_the_smallest_unsigned_dtype(self, n, dtype):
+        # a path on n vertices has levels 1 .. n - 1
+        d = apsp(path_graph(n))
+        assert d.pairs.dtype == dtype and int(d.pairs.max()) == n - 1
+        assert d.pair_codes is d.pairs
 
 
 class TestReadGraphFile:

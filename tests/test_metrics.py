@@ -41,12 +41,14 @@ from layoutstress import (
     stress_curve,
 )
 from layoutstress.experiment import bench_graph
-from layoutstress.metrics import _nonmetric_from_pairs, _pair_vectors, _tied_groups, score_layout
+from layoutstress.metrics import DRS_MAX_VERTICES, SCALE_QUADRATICS, _nonmetric_from_pairs
+from layoutstress.metrics import _pair_vectors, _tied_groups, score_layout
 
 from conftest import (
     as_layout_distances,
     complete_graph,
     drs_quadruple_loop,
+    grid_graph,
     path_graph,
     random_instance,
 )
@@ -600,6 +602,32 @@ class TestSharedRankTables:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 8 * (n * (n - 1) // 2)
+
+
+@pytest.mark.parametrize("drawing", ["random", "circle"])
+@pytest.mark.parametrize(
+    "graph, dtype",
+    # the path's levels reach 299, whose square overflows uint16
+    [(path_graph(300), np.uint16), (grid_graph(5, 8), np.uint8)],
+    ids=["path-300", "grid-5x8"],
+)
+def test_integer_levels_score_as_floats(graph, dtype, drawing):
+    """Every metric, value, optimal scale and scale quadratic, scores apsp's
+    integer levels exactly as the same distances in float64; drs where its
+    guard lets it."""
+    levels = apsp(graph)
+    floats = DistanceMatrix(levels.d)
+    assert levels.pairs.dtype == dtype and floats.pairs.dtype == np.float64
+    n = graph.vertex_count
+    layout = random_layout(n, 7) if drawing == "random" else circle_layout(n)
+    got, want = (score_layout(layout, d, METRIC_IDS) for d in (levels, floats))
+    assert got.skipped == want.skipped == (() if n <= DRS_MAX_VERTICES else ("drs",))
+    assert got.scores == want.scores
+    assert got.alpha_min == want.alpha_min
+    assert got.max_distance == want.max_distance
+    e = pairwise_distances(layout)
+    for quadratic in SCALE_QUADRATICS.values():
+        assert quadratic(e, levels) == quadratic(e, floats)
 
 
 def test_scoring_never_imports_numpy_ma():
