@@ -25,7 +25,7 @@ import numpy as np
 from . import experiment as exp
 from .errors import SizeGuardError
 from .graph import Graph, apsp, largest_connected_component, read_graph_file
-from .layout import Layout, read_layout_csv
+from .layout import Layout, csv_text, read_layout_csv
 from .metrics import (
     DRS_MAX_VERTICES,
     METRIC_IDS,
@@ -90,17 +90,13 @@ def _resolve_out(path_text: str | None) -> Path | None:
     return path
 
 
-def _csv_cell(value) -> str:
-    return "" if value is None else value if isinstance(value, str) else repr(value)
-
-
 def _write_report(args, report: dict, rows: list[tuple]) -> None:
     """Write the JSON report or the CSV rows (header first), as args.format
     asks, to args.out or stdout."""
     if args.format == "json":
         text = json.dumps(report, indent=2) + "\n"
     else:
-        text = "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+        text = csv_text(rows)
     out = _resolve_out(args.out)
     if out is None:
         sys.stdout.write(text)

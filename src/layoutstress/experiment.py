@@ -18,9 +18,9 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import os
 import statistics
-import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -30,15 +30,13 @@ import numpy as np
 from .graph import DistanceMatrix, Graph, apsp, largest_connected_component, read_graph_file
 from .layout import (
     Layout,
-    LayoutDistances,
     circle_layout,
+    csv_text,
     optimize_layout,
-    pairwise_distances,
     random_layout,
     scale_to_max_distance,
 )
-from .metrics import HIGHER_IS_BETTER, METRIC_IDS, DrawingScores, check_metric_ids
-from .metrics import compute_metric, score_layout
+from .metrics import HIGHER_IS_BETTER, METRIC_IDS, DrawingScores, check_metric_ids, score_layout
 from .errors import SizeGuardError
 from .stats import average_ranks, spearman
 
@@ -89,7 +87,7 @@ class CorpusSpec:
             object.__setattr__(self, key, _integer(f"corpus key {key!r}", getattr(self, key)))
         if isinstance(self.density, bool) or not isinstance(self.density, numbers.Real):
             raise ValueError(f"corpus key 'density' must be a number, got {self.density!r}")
-        # graphs <= 0 is left to run_experiment, which refuses an empty corpus
+        # graphs < 2 is left to run_experiment, which refuses any corpus of fewer than two
         for key, valid, need in (
             ("n_min", self.n_min >= MIN_CORPUS_VERTICES, f">= {MIN_CORPUS_VERTICES}"),
             ("n_max", self.n_max >= self.n_min, f">= n_min ({self.n_min})"),
@@ -360,18 +358,17 @@ def runtime_benchmark(
 ) -> BenchmarkResult:
     """Median per-call metric runtimes over graph sizes, plus log-log slopes.
 
-    One warm-up evaluation per (size, metric) is discarded. Each repetition
-    takes one sample of every (size, metric) in turn: calls are timed one by
-    one until their summed time reaches BENCH_SAMPLE_FLOOR_SECONDS, and the
-    sample is their mean, so sub-millisecond calls are not timed singly. The
-    graphs and drawings of all sizes are held at once. Every timed
-    evaluation gets a drawing's distance object built outside the timed
-    region, whose pair vector is not yet cached: it pays the drawing's pair
-    extraction, and sgs and nms their own sort of it. Every call shares the
-    graph's distances, which cache nothing a call could reuse: apsp built
-    their pair vector, and its hop levels are their own rank codes. An
-    empty size list and sizes below MIN_CORPUS_VERTICES are refused, and
-    drs above BENCH_DRS_MAX_VERTICES unless force is set.
+    Each size keeps its graph's distances and one random Layout. A timed
+    call is score_layout(layout, d, (metric_id,), force=True), and its time
+    is the metric's seconds in the result, as compute reports them: the
+    drawing's distances are built fresh in each call, outside that time, so
+    one is alive at a time and the metric pays their pair extraction. One
+    warm-up score_layout per size is discarded. Each repetition takes one
+    sample of every (size, metric) in turn: calls are timed one by one until
+    their summed time reaches BENCH_SAMPLE_FLOOR_SECONDS, and the sample is
+    their mean, so sub-millisecond calls are not timed singly. An empty size
+    list and sizes below MIN_CORPUS_VERTICES are refused, and drs above
+    BENCH_DRS_MAX_VERTICES unless force is set.
     """
     sizes = [int(n) for n in sizes]
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
@@ -390,20 +387,16 @@ def runtime_benchmark(
     cases = []
     for n in sizes:
         d = apsp(bench_graph(n, rng))
-        e = pairwise_distances(random_layout(n, int(rng.integers(2**63))))
-        for metric_id in metric_ids:
-            compute_metric(metric_id, e, d, force=True)  # warm-up, discarded
-            cases.append((n, metric_id, e, d, []))
+        layout = random_layout(n, int(rng.integers(2**63)))
+        score_layout(layout, d, metric_ids, force=True)  # warm-up, discarded
+        cases.extend((n, metric_id, layout, d, []) for metric_id in metric_ids)
     # one sample per case in each round, so a slow stretch of the machine
     # falls on every size alike rather than on one size's samples
     for _ in range(repetitions):
-        for _, metric_id, e, d, samples in cases:
+        for _, metric_id, layout, d, samples in cases:
             calls, spent = 0, 0.0
             while spent < BENCH_SAMPLE_FLOOR_SECONDS:
-                fresh_e = LayoutDistances(e.e)
-                t0 = time.perf_counter()
-                compute_metric(metric_id, fresh_e, d, force=True)
-                spent += time.perf_counter() - t0
+                spent += score_layout(layout, d, (metric_id,), force=True).seconds[metric_id]
                 calls += 1
             samples.append(spent / calls)
     rows = [BenchRow(n, metric_id, statistics.median(s)) for n, metric_id, _, _, s in cases]
@@ -464,6 +457,10 @@ class Verdict:
     detail: str
 
 
+#: the comparison each verdict operator stands for
+_COMPARISONS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt}
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
@@ -511,9 +508,10 @@ def run_experiment(config: ExperimentConfig = ExperimentConfig()) -> ExperimentR
     """Run the full protocol on the seeded corpus. The scores, and so the
     tables, are a pure function of config; each record's seconds are wall times.
 
-    A failed trial is recorded and the run continues. ValueError when no
-    trial succeeds (including an empty corpus); its message carries the
-    first failure.
+    ValueError before any trial runs when the corpus holds fewer than two
+    graphs, which the metric correlations need. A failed trial is recorded
+    and the run continues. ValueError when no trial succeeds; its message
+    carries the first failure.
 
     The trials run in forked worker processes, one per CPU in the process's
     affinity mask and at most one per trial, or in this process when that
@@ -529,6 +527,10 @@ def run_experiment(config: ExperimentConfig = ExperimentConfig()) -> ExperimentR
         corpus = load_corpus_dir(config.corpus_dir)
     else:
         corpus = generate_corpus(config.corpus)
+    if not corpus:
+        raise ValueError("the corpus holds no graphs")
+    if len(corpus) < 2:
+        raise ValueError("the corpus holds one graph; the metric correlations need at least two")
     seed_rng = np.random.default_rng([config.corpus.seed, 1])
     optimize_seeds = seed_rng.integers(2**63, size=len(corpus))
     random_seeds = seed_rng.integers(2**63, size=len(corpus))
@@ -551,8 +553,6 @@ def run_experiment(config: ExperimentConfig = ExperimentConfig()) -> ExperimentR
     records = [o for o in outcomes if isinstance(o, TrialRecord)]
     failures = [o for o in outcomes if not isinstance(o, TrialRecord)]
     if not records:
-        if not failures:
-            raise ValueError("the corpus holds no graphs")
         graph_id, message = failures[0]
         raise ValueError(f"every trial failed; first failure: {graph_id}: {message}")
     table = order_frequencies(records)
@@ -570,57 +570,36 @@ def run_experiment(config: ExperimentConfig = ExperimentConfig()) -> ExperimentR
 def experiment_verdicts(
     records, table: OrderFrequencyTable, corr: CorrelationTable
 ) -> tuple[Verdict, ...]:
-    """One pass/fail line per expectation the experiment is meant to check."""
-    verdicts: list[Verdict] = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        verdicts.append(Verdict(name=name, passed=passed, detail=detail))
-
-    for metric_id in ("sns", "scs", "nms"):
-        if metric_id in table.metric_ids:
-            freq = table.triple_frequency(metric_id, GROUND_TRUTH_ORDER)
-            check(
-                f"{metric_id}-ground-truth",
-                freq >= 0.90,
-                f"ground-truth ordering frequency {freq:.2%} (threshold >= 90%)",
-            )
-    for metric_id in ("rs", "ns", "kks"):
-        if metric_id in table.metric_ids:
-            best = table.best_frequency(metric_id, "random")
-            truth = table.triple_frequency(metric_id, GROUND_TRUTH_ORDER)
-            check(
-                f"{metric_id}-random-best",
-                best >= 0.95,
-                f"random ranked best {best:.2%} (threshold >= 95%)",
-            )
-            check(
-                f"{metric_id}-ground-truth-rare",
-                truth <= 0.05,
-                f"ground-truth ordering frequency {truth:.2%} (threshold <= 5%)",
-            )
+    """One pass/fail line per expectation the experiment is meant to check,
+    each from one row of (name, what is measured, value, operator, bound):
+    the operator picks the comparison, and the detail is formatted from the row."""
+    rows = []  # (name, measured, value, op, bound, is_frequency)
+    truth = "ground-truth ordering frequency"
+    for m in ("sns", "scs", "nms"):
+        if m in table.metric_ids:
+            freq = table.triple_frequency(m, GROUND_TRUTH_ORDER)
+            rows.append((f"{m}-ground-truth", truth, freq, ">=", 0.90, True))
+    for m in ("rs", "ns", "kks"):
+        if m in table.metric_ids:
+            best = table.best_frequency(m, "random")
+            freq = table.triple_frequency(m, GROUND_TRUTH_ORDER)
+            rows.append((f"{m}-random-best", "random ranked best", best, ">=", 0.95, True))
+            rows.append((f"{m}-ground-truth-rare", truth, freq, "<=", 0.05, True))
     pairs = (("rs", "ns", ">=", 0.9), ("sns", "nms", ">=", 0.8), ("rs", "sns", "<=", -0.2))
     for a, b, op, bound in pairs:
         if a in corr.metric_ids and b in corr.metric_ids:
             rho = corr.get(a, b)
-            passed = rho >= bound if op == ">=" else rho <= bound
-            check(
-                f"corr-{a}-{b}",
-                passed,
-                f"spearman({a}, {b}) = {rho:.3f} (threshold {op} {bound})",
-            )
+            rows.append((f"corr-{a}-{b}", f"spearman({a}, {b}) =", rho, op, bound, False))
     if "sgs" in table.metric_ids:
-        mean_opt = float(np.mean([r.sources["optimized"].scores["sgs"] for r in records]))
-        mean_rand = float(np.mean([r.sources["random"].scores["sgs"] for r in records]))
-        check(
-            "sgs-optimized-high",
-            mean_opt > 0.8,
-            f"mean sgs(optimized) = {mean_opt:.3f} (threshold > 0.8)",
-        )
-        check(
-            "sgs-random-low",
-            mean_rand < 0.4,
-            f"mean sgs(random) = {mean_rand:.3f} (threshold < 0.4)",
-        )
+        for src, op, bound, level in (("optimized", ">", 0.8, "high"), ("random", "<", 0.4, "low")):
+            mean = float(np.mean([r.sources[src].scores["sgs"] for r in records]))
+            rows.append((f"sgs-{src}-{level}", f"mean sgs({src}) =", mean, op, bound, False))
+    verdicts = []
+    for name, measured, value, op, bound, is_frequency in rows:
+        # format(bound, "") is str(bound): the bound as written
+        value_spec, bound_spec = (".2%", ".0%") if is_frequency else (".3f", "")
+        detail = f"{measured} {value:{value_spec}} (threshold {op} {bound:{bound_spec}})"
+        verdicts.append(Verdict(name, _COMPARISONS[op](value, bound), detail))
     return tuple(verdicts)
 
 
@@ -644,41 +623,35 @@ def write_tables(result: ExperimentResult, out_dir: Path | str) -> list[Path]:
     table = result.order_table
 
     orders_path = out_dir / f"orders_{token}.csv"
-    lines = ["metric,kind,ordering,count,total,frequency"]
+    rows = [("metric", "kind", "ordering", "count", "total", "frequency")]
     for metric_id in table.metric_ids:
         total = table.totals[metric_id]
         for (a, b), count in sorted(table.pair_counts[metric_id].items()):
-            lines.append(f"{metric_id},pair,{a}<{b},{count},{total},{count / total!r}")
+            rows.append((metric_id, "pair", f"{a}<{b}", count, total, count / total))
         for perm, count in sorted(table.triple_counts[metric_id].items()):
-            label = "<".join(perm)
-            lines.append(f"{metric_id},triple,{label},{count},{total},{count / total!r}")
+            rows.append((metric_id, "triple", "<".join(perm), count, total, count / total))
         ties = table.tie_counts[metric_id]
-        lines.append(f"{metric_id},tie,any,{ties},{total},{ties / total!r}")
-    orders_path.write_text("\n".join(lines) + "\n")
+        rows.append((metric_id, "tie", "any", ties, total, ties / total))
+    orders_path.write_text(csv_text(rows))
 
     corr = result.correlation_table
     corr_path = out_dir / f"correlations_{token}.csv"
-    lines = ["metric_row,metric_col,spearman"]
-    for i, a in enumerate(corr.metric_ids):
-        for j, b in enumerate(corr.metric_ids):
-            lines.append(f"{a},{b},{float(corr.matrix[i, j])!r}")
-    corr_path.write_text("\n".join(lines) + "\n")
+    rows = [("metric_row", "metric_col", "spearman")]
+    rows += [(a, b, corr.get(a, b)) for a in corr.metric_ids for b in corr.metric_ids]
+    corr_path.write_text(csv_text(rows))
 
     trials_path = out_dir / f"trials_{token}.csv"
-    lines = ["graph_id,vertex_count,source,max_distance,metric,value,alpha_min"]
+    rows = [("graph_id", "vertex_count", "source", "max_distance", "metric", "value", "alpha_min")]
     for record in result.records:
         for src in sorted(record.sources):
             sr = record.sources[src]
-            for metric_id in METRIC_IDS:
-                if metric_id not in sr.scores:
-                    continue
-                alpha = sr.alpha_min.get(metric_id)
-                alpha_text = "" if alpha is None else repr(alpha)
-                lines.append(
-                    f"{record.graph_id},{record.vertex_count},{src},"
-                    f"{sr.max_distance!r},{metric_id},{sr.scores[metric_id]!r},{alpha_text}"
-                )
-    trials_path.write_text("\n".join(lines) + "\n")
+            rows += [
+                (record.graph_id, record.vertex_count, src, sr.max_distance, metric_id,
+                 sr.scores[metric_id], sr.alpha_min.get(metric_id))
+                for metric_id in METRIC_IDS
+                if metric_id in sr.scores
+            ]
+    trials_path.write_text(csv_text(rows))
 
     summary_path = out_dir / f"summary_{token}.json"
     summary = {

@@ -177,12 +177,19 @@ def optimize_layout(distances: DistanceMatrix, seed: int = 0, iterations: int = 
 LAYOUT_CSV_HEADER = "id,x,y"
 
 
+def csv_text(rows) -> str:
+    """Rows as CSV lines, the package's one cell rule: a str cell as it is, None
+    as an empty cell, anything else as its repr (a Python float round-trips)."""
+    return "".join(
+        ",".join(c if isinstance(c, str) else "" if c is None else repr(c) for c in row) + "\n"
+        for row in rows
+    )
+
+
 def write_layout_csv(layout: Layout) -> str:
     """Serialize as id,x,y rows at full double precision (round-trips exactly)."""
-    lines = [LAYOUT_CSV_HEADER]
-    for i, (x, y) in enumerate(layout.positions.tolist()):
-        lines.append(f"{i},{x!r},{y!r}")
-    return "\n".join(lines) + "\n"
+    rows = [(i, x, y) for i, (x, y) in enumerate(layout.positions.tolist())]
+    return csv_text([(LAYOUT_CSV_HEADER,), *rows])
 
 
 def read_layout_csv(text: str) -> Layout:

@@ -379,9 +379,11 @@ def score_layout(
     """Score one drawing under each metric of metric_ids.
 
     The drawing's distances live only in this call, so a caller scoring
-    drawings in turn holds one drawing's n x n distances at a time. drs is
-    skipped when distance_ratio_stress refuses it (SizeGuardError: too many
-    vertices and force not set).
+    drawings in turn holds one drawing's n x n distances at a time. seconds
+    times each compute_metric call alone; compute reports them, and bench
+    (experiment.runtime_benchmark) samples them. drs is skipped when
+    distance_ratio_stress refuses it (SizeGuardError: too many vertices and
+    force not set).
     """
     e = pairwise_distances(layout)
     scores, alpha_min, seconds, skipped = {}, {}, {}, []

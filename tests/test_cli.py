@@ -53,11 +53,28 @@ class TestCompute:
         assert "vertex id 1" in capsys.readouterr().err
 
     def test_csv_format(self, p3_files, tmp_path, capsys):
-        graph, perfect, _ = p3_files
+        graph, perfect, doubled = p3_files
         assert main(["compute", str(graph), str(perfect), "--metrics", "rs", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "layout,metric,value,alpha_min,seconds"
         assert lines[1].startswith("perfect,rs,0.0,")
+        # every value and alpha_min cell reads back as the JSON number, bit
+        # for bit; sgs has no alpha_min, so its cell is empty
+        argv = ["compute", str(graph), str(perfect), str(doubled), "--metrics", "rs,sgs"]
+        assert main([*argv, "--format", "csv"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert main([*argv, "--format", "json", "--out", str(tmp_path / "r.json")]) == 0
+        layouts = json.loads((tmp_path / "r.json").read_text())["layouts"]
+        assert [row[:2] for row in rows] == [
+            [name, m] for name in ("perfect", "doubled") for m in ("rs", "sgs")
+        ]
+        for name, metric_id, value, alpha_min, _ in rows:
+            cell = layouts[name]["metrics"][metric_id]
+            assert float(value).hex() == cell["value"].hex()
+            if metric_id == "sgs":
+                assert alpha_min == "" and cell["alpha_min"] is None
+            else:
+                assert float(alpha_min).hex() == cell["alpha_min"].hex()
 
     def test_unknown_metric_exits_1(self, p3_files, capsys):
         graph, perfect, _ = p3_files
@@ -361,6 +378,26 @@ class TestExperimentConfigErrors:
         code, err = self.run_config(tmp_path, capsys, {"corpus": {"graphs": 0}})
         assert code == 2
         assert "no graphs" in err
+
+    @pytest.mark.parametrize("corpus", ["generated", "dir"])
+    def test_one_graph_refused_before_any_trial(self, tmp_path, capsys, monkeypatch, corpus):
+        def apsp_called(*args):
+            raise AssertionError("apsp called")
+
+        if corpus == "dir":
+            graphs = tmp_path / "graphs"
+            graphs.mkdir()
+            graphs.joinpath("ring.txt").write_text("0 1\n1 2\n2 3\n3 0\n")
+            data = {"corpus": {"dir": str(graphs)}}
+        else:
+            data = {"corpus": {"graphs": 1}}
+        monkeypatch.setattr("layoutstress.experiment.apsp", apsp_called)
+        code, err = self.run_config(tmp_path, capsys, data)
+        assert code == 2
+        assert err == (
+            "input error: the corpus holds one graph; the metric correlations"
+            " need at least two\n"
+        )
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
         # a misspelt key must not silently run the default 300 iterations

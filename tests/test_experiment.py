@@ -22,7 +22,10 @@ from layoutstress.experiment import (
     GROUND_TRUTH_ORDER,
     LAYOUT_SOURCES,
     CorpusSpec,
+    CorrelationTable,
     ExperimentConfig,
+    OrderFrequencyTable,
+    TrialRecord,
     apply_scale_policy,
     corpus_graph,
     generate_corpus,
@@ -37,7 +40,7 @@ from layoutstress.experiment import (
 )
 from layoutstress import experiment as exp_mod
 from layoutstress import serialize_edge_list
-from layoutstress.metrics import HIGHER_IS_BETTER
+from layoutstress.metrics import HIGHER_IS_BETTER, DrawingScores
 
 from conftest import _is_connected, path_graph
 
@@ -382,6 +385,10 @@ class TestRuntimeBenchmark:
         result = runtime_benchmark([8, 12], ["drs"], repetitions=3, seed=1)
         assert len(result.rows) == 2
 
+    def test_one_drawing_alive_at_a_time(self, live_drawings):
+        runtime_benchmark([8, 16, 24], ["ns", "sgs"], repetitions=3)
+        assert live_drawings and max(live_drawings) == 0, live_drawings
+
 
 class TestExperiment:
     def test_ordering_verdicts_on_small_corpus(self, small_result):
@@ -458,6 +465,97 @@ class TestExperiment:
     def test_verdict_names_cover_expected_checks(self, small_result):
         names = {v.name for v in small_result.verdicts}
         assert {"sns-ground-truth", "rs-random-best", "corr-rs-sns", "sgs-random-low"} <= names
+
+
+def _verdict_inputs(truth, random_best, rare, rho, sgs_opt, sgs_rand):
+    """experiment_verdicts inputs whose statistics are the given values.
+
+    The order table counts 100 orderings per metric: `truth` of them in the
+    ground-truth order for sns, scs and nms; for rs, ns and kks,
+    `random_best` with random first and `rare` in the ground-truth order.
+    rho maps (a, b) to spearman(a, b). Both trial records score
+    sgs(optimized) = sgs_opt and sgs(random) = sgs_rand, so the means are
+    exact."""
+    worst_first = ("random", "circle", "optimized")
+    random_first = ("random", "optimized", "circle")
+    other = ("circle", "optimized", "random")
+    counts = {m: {GROUND_TRUTH_ORDER: truth, worst_first: 100 - truth} for m in ("sns", "scs", "nms")}
+    for m in ("rs", "ns", "kks"):
+        counts[m] = {random_first: random_best, GROUND_TRUTH_ORDER: rare, other: 100 - random_best - rare}
+    counts["sgs"] = {GROUND_TRUTH_ORDER: 100}
+    metric_ids = tuple(counts)
+    table = OrderFrequencyTable(
+        sources=LAYOUT_SOURCES,
+        metric_ids=metric_ids,
+        totals={m: 100 for m in metric_ids},
+        triple_counts=counts,
+        pair_counts={m: {} for m in metric_ids},
+        tie_counts={m: 0 for m in metric_ids},
+    )
+    corr_ids = ("rs", "ns", "sns", "nms")
+    matrix = np.eye(len(corr_ids))
+    for (a, b), value in rho.items():
+        i, j = corr_ids.index(a), corr_ids.index(b)
+        matrix[i, j] = matrix[j, i] = value
+    records = [
+        TrialRecord(
+            graph_id=f"g{k}",
+            vertex_count=10,
+            sources={
+                src: DrawingScores({"sgs": score}, {}, {"sgs": 0.0}, 1.0, ())
+                for src, score in (("optimized", sgs_opt), ("random", sgs_rand))
+            },
+        )
+        for k in range(2)
+    ]
+    return records, table, CorrelationTable(metric_ids=corr_ids, matrix=matrix)
+
+
+class TestVerdictBounds:
+    """Every verdict on its bound and just past it: >= and <= hold on the
+    bound, > and < do not."""
+
+    def test_on_the_bounds(self):
+        rho = {("rs", "ns"): 0.9, ("sns", "nms"): 0.8, ("rs", "sns"): -0.2}
+        verdicts = exp_mod.experiment_verdicts(*_verdict_inputs(90, 95, 5, rho, 0.8, 0.4))
+        freq = "ground-truth ordering frequency"
+        assert [(v.name, v.passed, v.detail) for v in verdicts] == [
+            ("sns-ground-truth", True, f"{freq} 90.00% (threshold >= 90%)"),
+            ("scs-ground-truth", True, f"{freq} 90.00% (threshold >= 90%)"),
+            ("nms-ground-truth", True, f"{freq} 90.00% (threshold >= 90%)"),
+            ("rs-random-best", True, "random ranked best 95.00% (threshold >= 95%)"),
+            ("rs-ground-truth-rare", True, f"{freq} 5.00% (threshold <= 5%)"),
+            ("ns-random-best", True, "random ranked best 95.00% (threshold >= 95%)"),
+            ("ns-ground-truth-rare", True, f"{freq} 5.00% (threshold <= 5%)"),
+            ("kks-random-best", True, "random ranked best 95.00% (threshold >= 95%)"),
+            ("kks-ground-truth-rare", True, f"{freq} 5.00% (threshold <= 5%)"),
+            ("corr-rs-ns", True, "spearman(rs, ns) = 0.900 (threshold >= 0.9)"),
+            ("corr-sns-nms", True, "spearman(sns, nms) = 0.800 (threshold >= 0.8)"),
+            ("corr-rs-sns", True, "spearman(rs, sns) = -0.200 (threshold <= -0.2)"),
+            ("sgs-optimized-high", False, "mean sgs(optimized) = 0.800 (threshold > 0.8)"),
+            ("sgs-random-low", False, "mean sgs(random) = 0.400 (threshold < 0.4)"),
+        ]
+
+    def test_just_past_the_bounds(self):
+        rho = {("rs", "ns"): 0.899, ("sns", "nms"): 0.799, ("rs", "sns"): -0.199}
+        verdicts = exp_mod.experiment_verdicts(*_verdict_inputs(89, 94, 6, rho, 0.81, 0.39))
+        freq = "ground-truth ordering frequency"
+        assert [(v.name, v.passed, v.detail) for v in verdicts] == [
+            ("sns-ground-truth", False, f"{freq} 89.00% (threshold >= 90%)"),
+            ("scs-ground-truth", False, f"{freq} 89.00% (threshold >= 90%)"),
+            ("nms-ground-truth", False, f"{freq} 89.00% (threshold >= 90%)"),
+            ("rs-random-best", False, "random ranked best 94.00% (threshold >= 95%)"),
+            ("rs-ground-truth-rare", False, f"{freq} 6.00% (threshold <= 5%)"),
+            ("ns-random-best", False, "random ranked best 94.00% (threshold >= 95%)"),
+            ("ns-ground-truth-rare", False, f"{freq} 6.00% (threshold <= 5%)"),
+            ("kks-random-best", False, "random ranked best 94.00% (threshold >= 95%)"),
+            ("kks-ground-truth-rare", False, f"{freq} 6.00% (threshold <= 5%)"),
+            ("corr-rs-ns", False, "spearman(rs, ns) = 0.899 (threshold >= 0.9)"),
+            ("corr-sns-nms", False, "spearman(sns, nms) = 0.799 (threshold >= 0.8)"),
+            ("corr-rs-sns", False, "spearman(rs, sns) = -0.199 (threshold <= -0.2)"),
+            ("sgs-optimized-high", True, "mean sgs(optimized) = 0.810 (threshold > 0.8)"),
+            ("sgs-random-low", True, "mean sgs(random) = 0.390 (threshold < 0.4)"),
+        ]
 
 
 POOL_SPEC = CorpusSpec(graphs=5, n_min=12, n_max=22, seed=11)
