@@ -40,13 +40,10 @@ from .metrics import HIGHER_IS_BETTER, METRIC_IDS, DrawingScores, check_metric_i
 from .errors import SizeGuardError
 from .stats import average_ranks, spearman
 
-LAYOUT_SOURCES = ("optimized", "circle", "random")
-GROUND_TRUTH_ORDER = ("optimized", "circle", "random")
+LAYOUT_SOURCES = GROUND_TRUTH_ORDER = ("optimized", "circle", "random")
 
-SCALE_POLICIES = ("as-is", "paper-like")
-
-#: spans imposed by the paper-like policy (random is left in the unit square)
-PAPER_LIKE_SPANS = {"optimized": 800.0, "circle": 804.0}
+#: per scale policy, the span it imposes on each source it rescales
+SCALE_POLICIES = {"as-is": {}, "paper-like": {"optimized": 800.0, "circle": 804.0}}
 
 #: runtime benchmarking caps distance-ratio stress at this size
 BENCH_DRS_MAX_VERTICES = 50
@@ -170,16 +167,14 @@ def make_layouts(
 
 
 def apply_scale_policy(layouts: dict[str, Layout], policy: str) -> dict[str, Layout]:
-    """Rescale layouts according to a named policy before scoring."""
-    if policy == "as-is":
-        return dict(layouts)
-    if policy == "paper-like":
-        out = {}
-        for name, layout in layouts.items():
-            span = PAPER_LIKE_SPANS.get(name)
-            out[name] = scale_to_max_distance(layout, span) if span else layout
-        return out
-    raise ValueError(f"unknown scale policy {policy!r} (known: {', '.join(SCALE_POLICIES)})")
+    """Rescale each layout its policy gives a span; leave the rest as generated."""
+    if not isinstance(policy, str) or policy not in SCALE_POLICIES:
+        raise ValueError(f"unknown scale policy {policy!r} (known: {', '.join(SCALE_POLICIES)})")
+    spans = SCALE_POLICIES[policy]
+    return {
+        name: scale_to_max_distance(layout, spans[name]) if name in spans else layout
+        for name, layout in layouts.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +246,6 @@ class OrderFrequencyTable:
     number of records where a tie occurred is kept per metric.
     """
 
-    sources: tuple[str, ...]
     metric_ids: tuple[str, ...]
     totals: dict[str, int]
     triple_counts: dict[str, dict[tuple[str, ...], int]]
@@ -282,7 +276,6 @@ def order_frequencies(records, sources=LAYOUT_SOURCES) -> OrderFrequencyTable:
         for m, rows in signed.items()
     }
     return OrderFrequencyTable(
-        sources=tuple(sources),
         metric_ids=tuple(signed),
         totals={m: len(records) for m in signed},
         triple_counts={m: dict(Counter(p)) for m, p in perms.items()},
@@ -439,7 +432,7 @@ class ExperimentConfig:
             object.__setattr__(self, "corpus_dir", os.fspath(self.corpus_dir))
         # a generator is used up here once, not by the first trial
         object.__setattr__(self, "metric_ids", check_metric_ids(self.metric_ids))
-        if self.scale_policy not in SCALE_POLICIES:
+        if not isinstance(self.scale_policy, str) or self.scale_policy not in SCALE_POLICIES:
             need = f"one of {', '.join(SCALE_POLICIES)}"
             raise ValueError(f"'scale_policy' must be {need}, got {self.scale_policy!r}")
         iterations = _integer("'optimizer_iterations'", self.optimizer_iterations)
@@ -510,8 +503,8 @@ def run_experiment(config: ExperimentConfig = ExperimentConfig()) -> ExperimentR
 
     ValueError before any trial runs when the corpus holds fewer than two
     graphs, which the metric correlations need. A failed trial is recorded
-    and the run continues. ValueError when no trial succeeds; its message
-    carries the first failure.
+    and the run continues. ValueError when fewer than two trials scored; its
+    message says how many failed and carries the first failure.
 
     The trials run in forked worker processes, one per CPU in the process's
     affinity mask and at most one per trial, or in this process when that
@@ -552,9 +545,12 @@ def run_experiment(config: ExperimentConfig = ExperimentConfig()) -> ExperimentR
             outcomes = list(pool.map(trial, tasks))
     records = [o for o in outcomes if isinstance(o, TrialRecord)]
     failures = [o for o in outcomes if not isinstance(o, TrialRecord)]
-    if not records:
-        graph_id, message = failures[0]
-        raise ValueError(f"every trial failed; first failure: {graph_id}: {message}")
+    if len(records) < 2:
+        failed = f"{len(failures)} of {len(tasks)} trials" if records else "every trial"
+        raise ValueError(
+            f"{failed} failed and the metric correlations need two scored graphs;"
+            f" first failure: {': '.join(failures[0])}"
+        )
     table = order_frequencies(records)
     corr = metric_correlations(records)
     return ExperimentResult(

@@ -155,13 +155,14 @@ class DistanceMatrix:
         pairs = self.pairs
         if pairs.dtype.kind == "u" and self.max_distance < self.n:
             return pairs
-        # argsort rather than np.sort: shepard_goodness argsorts the drawing's
-        # float pairs anyway, while np.sort's first call maps about 0.2 MB
-        # more of numpy's SIMD sort code into a small process
-        ordered = pairs[np.argsort(pairs)]
-        distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
-        dtype = np.min_scalar_type(max(distinct.size - 1, 0))
-        codes = np.searchsorted(distinct, pairs).astype(dtype)
+        order = np.argsort(pairs)
+        ordered = pairs[order]
+        changes = ordered[1:] != ordered[:-1]
+        del ordered  # a pair-length copy: freed before the codes are built
+        dtype = np.min_scalar_type(int(changes.sum()))
+        codes = np.empty(pairs.size, dtype)
+        codes[order[:1]] = 0
+        codes[order[1:]] = np.cumsum(changes, dtype=dtype)
         codes.setflags(write=False)
         return codes
 

@@ -330,6 +330,7 @@ def compute_metric(
     force: bool = False,
 ) -> float:
     """Evaluate a metric by id on precomputed pairwise distances."""
+    check_metric_ids((metric_id,))
     if metric_id == "rs":
         return raw_stress(e, d)
     if metric_id == "kks":
@@ -344,9 +345,7 @@ def compute_metric(
         return shepard_constant_stress(e, d)
     if metric_id == "drs":
         return distance_ratio_stress(e, d, force=force)
-    if metric_id == "nms":
-        return nonmetric_stress(e, d)
-    raise ValueError(f"unknown metric id {metric_id!r} (known: {', '.join(METRIC_IDS)})")
+    return nonmetric_stress(e, d)
 
 
 def metric_alpha_min(metric_id: str, e: LayoutDistances, d: DistanceMatrix) -> float | None:

@@ -106,6 +106,15 @@ class TestCompute:
         err = capsys.readouterr().err
         assert err == f"input error: {collapsed}: all points coincide; optimal scale is undefined\n"
 
+    def test_layout_of_another_vertex_count_exits_2(self, p3_files, tmp_path, capsys):
+        graph, _, _ = p3_files
+        square = tmp_path / "square.csv"
+        square.write_text(write_layout_csv(circle_layout(4)))
+        assert main(["compute", str(graph), str(square)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {square}: layout has 4 vertices but the graph")
+        assert len(err.splitlines()) == 1
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["compute", str(tmp_path / "absent.txt"), str(tmp_path / "x.csv")]) == 2
 
@@ -202,6 +211,21 @@ class TestCurve:
         assert main(["curve", str(graph), str(perfect), "--metric", "ns", "--alpha-grid", "1,2,1,log"]) == 1
         assert main(["curve", str(graph), str(perfect), "--metric", "ns", "--alpha-grid", "1,2,5,cubic"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--metric", "ns,sns"], "curve takes exactly one metric"),
+            (["--metric", "ns", "--alpha-grid", "1,2,3"],
+             "alpha grid must be 'start,stop,count,log|linear'"),
+            (["--metric", "ns", "--alpha-grid", "a,2,5,log"], "malformed alpha grid 'a,2,5,log'"),
+        ],
+        ids=["two_metrics", "three_grid_fields", "malformed_grid"],
+    )
+    def test_usage_error_message(self, p3_files, capsys, flags, message):
+        graph, perfect, _ = p3_files
+        assert main(["curve", str(graph), str(perfect), *flags]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
 
 class TestBench:
     def test_rows_with_slope_annotation(self, capsys):
@@ -222,6 +246,10 @@ class TestBench:
         assert len(err.splitlines()) == 1
         assert f"up to {BENCH_DRS_MAX_VERTICES} vertices" in err and "reaches 100" in err
         assert "--force" in err and "pass force" not in err
+
+    def test_malformed_size_list_exits_1(self, capsys):
+        assert main(["bench", "--sizes", "8,x", "--metrics", "ns"]) == 1
+        assert capsys.readouterr().err == "usage error: malformed size list '8,x'\n"
 
     def test_drs_force_overrides(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -268,6 +296,14 @@ class TestExperimentCommand:
         trials = next((tmp_path / "out").glob("trials_*.csv")).read_text()
         assert ",drs," in trials
 
+    def test_scale_policy_flag_overrides_the_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.CONFIG))
+        out = tmp_path / "out"
+        main(["experiment", str(config), "--scale-policy", "as-is", "--out-dir", str(out)])
+        summary = json.loads(next(out.glob("summary_*.json")).read_text())
+        assert summary["config"]["scale_policy"] == "as-is"
+
     def test_bad_config_exits_2(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json")
@@ -297,6 +333,48 @@ class TestExperimentCommand:
         missing = tmp_path / "nope"
         config.write_text(json.dumps({"corpus": {"dir": str(missing)}}))
         assert main(["experiment", str(config), "--out-dir", str(tmp_path / "out2")]) == 2
+
+
+def _ring(n: int) -> str:
+    return "".join(f"{i} {(i + 1) % n}\n" for i in range(n))
+
+
+#: a_tiny is one edge: its trial fails, because sgs needs three vertices
+TINY_ERROR = "ValueError: need at least 3 vertices for a rank correlation, got 2"
+
+
+class TestExperimentFailures:
+    """Failed trials: reported and counted, and refused below two scored graphs."""
+
+    @staticmethod
+    def run_dir(tmp_path, capsys, rings) -> tuple[int, str]:
+        graphs = tmp_path / "graphs"
+        graphs.mkdir()
+        graphs.joinpath("a_tiny.txt").write_text("0 1\n")
+        for n in rings:
+            graphs.joinpath(f"ring{n}.txt").write_text(_ring(n))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"corpus": {"dir": str(graphs)}, "optimizer_iterations": 5}))
+        code = main(["experiment", str(config), "--out-dir", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    def test_over_a_tenth_failed_writes_the_tables_then_exits_2(self, tmp_path, capsys):
+        code, err = self.run_dir(tmp_path, capsys, (12, 14))
+        assert code == 2
+        assert err.splitlines() == [f"trial a_tiny failed: {TINY_ERROR}", "1/3 trials failed"]
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == [
+            "correlations_s97_paper-like.csv", "orders_s97_paper-like.csv",
+            "summary_s97_paper-like.json", "trials_s97_paper-like.csv",
+        ]
+
+    def test_one_scored_graph_is_refused_naming_the_failure(self, tmp_path, capsys):
+        code, err = self.run_dir(tmp_path, capsys, (12,))
+        assert code == 2
+        assert err == (
+            "input error: 1 of 2 trials failed and the metric correlations need two scored"
+            f" graphs; first failure: a_tiny: {TINY_ERROR}\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestExperimentConfigErrors:

@@ -485,7 +485,6 @@ def _verdict_inputs(truth, random_best, rare, rho, sgs_opt, sgs_rand):
     counts["sgs"] = {GROUND_TRUTH_ORDER: 100}
     metric_ids = tuple(counts)
     table = OrderFrequencyTable(
-        sources=LAYOUT_SOURCES,
         metric_ids=metric_ids,
         totals={m: 100 for m in metric_ids},
         triple_counts=counts,

@@ -42,6 +42,11 @@ class TestGraphType:
         with pytest.raises(ValueError, match="self-loop"):
             Graph(3, ((1, 1),))
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError) as info:
+            Graph(-1, ())
+        assert str(info.value) == "vertex_count must be nonnegative"
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph(2, ((0, 2),))
@@ -118,6 +123,19 @@ class TestDistanceMatrix:
         assert d.pairs.tolist() == [1, 9, 1] and d.pairs.dtype == kept
         assert d.pair_codes is not d.pairs
         assert d.pair_codes.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("kind", ["random", "circle", "rounded"])
+    def test_float_pair_codes_are_the_distinct_value_indices(self, kind):
+        # of the 1,770 pairs, random's are all distinct, the circle's chords
+        # tie by symmetry (245 distinct), and rounding leaves 13 distinct
+        n = 60
+        positions = circle_layout(n).positions if kind == "circle" else random_layout(n, 4).positions
+        m = np.sqrt(((positions[:, None, :] - positions[None, :, :]) ** 2).sum(-1))
+        if kind == "rounded":
+            m = np.where(np.eye(n, dtype=bool), 0.0, np.round(m, 1) + 0.05)
+        d = DistanceMatrix(m)
+        assert d.pairs.dtype == np.float64
+        assert d.pair_codes.tolist() == np.unique(d.pairs, return_inverse=True)[1].tolist()
 
     @pytest.mark.parametrize("n", [2, 64, 129])
     def test_keeps_only_the_condensed_pairs(self, n):
@@ -269,6 +287,9 @@ class TestParseEdgeList:
             assert parse_edge_list(serialize_edge_list(g)).graph == g
 
 
+_MM_HEADER = "%%MatrixMarket matrix coordinate pattern general\n"
+
+
 class TestParseMatrixMarket:
     def test_pattern_symmetric_path(self):
         text = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n1 2\n2 3\n"
@@ -304,6 +325,27 @@ class TestParseMatrixMarket:
     def test_entry_out_of_bounds(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_matrix_market("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 5\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty Matrix Market input"),
+            ("3 3 1\n1 2\n", "line 1: not a Matrix Market matrix header: '3 3 1'"),
+            (_MM_HEADER.replace("general", "hermitian") + "2 2 1\n1 2\n",
+             "unsupported Matrix Market symmetry 'hermitian'"),
+            (_MM_HEADER + "2 2\n1 2\n", "line 2: expected 'rows cols nnz' size line"),
+            (_MM_HEADER + "2 2 x\n1 2\n", "line 2: malformed size line '2 2 x'"),
+            (_MM_HEADER + "2 2 1\n1\n", "line 3: expected 'i j [value]' entry"),
+            (_MM_HEADER + "2 2 1\n1 b\n", "line 3: malformed coordinate entry '1 b'"),
+            (_MM_HEADER + "% only a comment\n", "missing Matrix Market size line"),
+        ],
+        ids=["empty", "no_header", "symmetry", "size_tokens", "size_malformed", "entry_tokens",
+             "entry_malformed", "no_size_line"],
+    )
+    def test_refusal_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_matrix_market(text)
+        assert str(info.value) == message
 
     def test_loops_and_duplicates_counted(self):
         text = "%%MatrixMarket matrix coordinate pattern general\n3 3 5\n1 2\n2 3\n1 1\n2 1\n3 3\n"

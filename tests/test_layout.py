@@ -251,3 +251,21 @@ class TestLayoutCsv:
     def test_malformed_row_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
             read_layout_csv("id,x,y\n0,oops,0.0\n")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: read_layout_csv("id,x,y\n0,1.0\n"), "line 2: expected 'id,x,y', got '0,1.0'"),
+        (lambda: random_layout(0, 1), "need at least 1 vertex, got 0"),
+        (lambda: scale_to_max_distance(Layout(np.eye(2)), 0.0),
+         "target distance must be positive and finite, got 0.0"),
+        (lambda: scale_to_max_distance(Layout(np.zeros((3, 2))), 800.0),
+         "all points coincide; layout has no scale"),
+    ],
+    ids=["csv_two_fields", "random_no_vertex", "scale_target_zero", "scale_all_at_origin"],
+)
+def test_refusal_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -334,6 +334,13 @@ class TestKKStress:
         with pytest.raises(ValueError):
             KKParams(l0=math.inf)
 
+    @pytest.mark.parametrize("metric", [kk_stress, shepard_constant_stress], ids=["kks", "scs"])
+    def test_coincident_points_refused(self, metric):
+        e = pairwise_distances(Layout(np.zeros((3, 2))))
+        with pytest.raises(DegenerateLayoutError) as info:
+            metric(e, apsp(path_graph(3)))
+        assert str(info.value) == "all points coincide; drawing span is zero"
+
 
 class TestNormalizedStress:
     def test_perfect_zero(self, p3):
