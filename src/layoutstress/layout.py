@@ -10,6 +10,8 @@ format.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,8 +59,10 @@ class LayoutDistances:
             raise ValueError("layout distances must be nonnegative with zero diagonal")
         if not np.array_equal(e, e.T):
             raise ValueError("layout distances must be symmetric")
-        e = e.copy()
-        e.setflags(write=False)
+        # a read-only array that owns its data is kept as it is; any other is copied
+        if e.flags.writeable or e.base is not None:
+            e = e.copy()
+            e.setflags(write=False)
         object.__setattr__(self, "e", e)
 
     @property
@@ -76,30 +80,28 @@ class LayoutDistances:
         return upper_pairs(self.e)
 
 
-#: rows of dy^2 that pairwise_distances adds at a time (2 MB at n = 1000)
-_ROW_BLOCK = 256
+def _euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sqrt((x_i - x_j)^2 + (y_i - y_j)^2) for every vertex pair, built in
+    place in one n x n float array; dy^2 is freed before the sqrt."""
+    e = x[:, None] - x
+    e *= e
+    dy = y[:, None] - y
+    dy *= dy
+    e += dy
+    del dy
+    return np.sqrt(e, out=e)
 
 
 def pairwise_distances(layout: Layout) -> LayoutDistances:
-    """Euclidean distance between every vertex pair.
-
-    Computes sqrt(dx^2 + dy^2) in place, adding dy^2 in blocks of
-    _ROW_BLOCK rows, so the one n x n float array it builds is alive at
-    most together with the copy that LayoutDistances keeps.
-    """
+    """Euclidean distance between every vertex pair, as a read-only n x n
+    array that LayoutDistances keeps without a copy."""
     n = layout.n
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
-    x, y = layout.positions.T
     # an overflow gives inf, which LayoutDistances refuses in one error
     with np.errstate(over="ignore"):
-        e = x[:, None] - x
-        e *= e
-        for start in range(0, n, _ROW_BLOCK):
-            dy = y[start : start + _ROW_BLOCK, None] - y
-            dy *= dy
-            e[start : start + _ROW_BLOCK] += dy
-        np.sqrt(e, out=e)
+        e = _euclidean(*layout.positions.T)
+    e.setflags(write=False)
     return LayoutDistances(e)
 
 
@@ -166,10 +168,8 @@ def optimize_layout(distances: DistanceMatrix, seed: int = 0, iterations: int = 
     laplacian_pinv = np.linalg.inv(laplacian + mean) - mean
     x = random_layout(n, seed).positions
     for _ in range(iterations):
-        dx = x[:, 0, None] - x[None, :, 0]
-        dy = x[:, 1, None] - x[None, :, 1]
-        r = np.sqrt(dx * dx + dy * dy)
-        c = np.divide(inv_d, r, out=np.zeros((n, n)), where=r > 0)
+        r = _euclidean(*x.T)
+        c = np.divide(inv_d, r, out=r, where=r > 0)
         x = laplacian_pinv @ (c.sum(axis=1)[:, None] * x - c @ x)
     return Layout(x)
 
@@ -178,28 +178,30 @@ LAYOUT_CSV_HEADER = "id,x,y"
 
 
 def csv_text(rows) -> str:
-    """Rows as CSV lines, the package's one cell rule: a str cell as it is, None
-    as an empty cell, anything else as its repr (a Python float round-trips)."""
-    return "".join(
-        ",".join(c if isinstance(c, str) else "" if c is None else repr(c) for c in row) + "\n"
-        for row in rows
+    """Rows as CSV lines, the package's one cell rule: a str cell as it is,
+    quoted when it holds a comma, a quote or a newline, None as an empty
+    cell, anything else as its repr (a Python float round-trips)."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [c if isinstance(c, str) else "" if c is None else repr(c) for c in row] for row in rows
     )
+    return out.getvalue()
 
 
 def write_layout_csv(layout: Layout) -> str:
     """Serialize as id,x,y rows at full double precision (round-trips exactly)."""
     rows = [(i, x, y) for i, (x, y) in enumerate(layout.positions.tolist())]
-    return csv_text([(LAYOUT_CSV_HEADER,), *rows])
+    return csv_text([LAYOUT_CSV_HEADER.split(","), *rows])
 
 
 def read_layout_csv(text: str) -> Layout:
     """Parse the id,x,y format; ids must be exactly 0..n-1, each once."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in lines if ln]
-    if not rows or rows[0].replace(" ", "") != LAYOUT_CSV_HEADER:
+    lines = [(lineno, ln.strip()) for lineno, ln in enumerate(text.splitlines(), start=1)]
+    rows = [(lineno, ln) for lineno, ln in lines if ln]
+    if not rows or rows[0][1].replace(" ", "") != LAYOUT_CSV_HEADER:
         raise ParseError(f"layout CSV must start with header '{LAYOUT_CSV_HEADER}'")
     coords: dict[int, tuple[float, float]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         parts = [p.strip() for p in row.split(",")]
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected 'id,x,y', got {row!r}")

@@ -87,19 +87,14 @@ def rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
 
     Exactly 1 for identical rankings and -1 for exactly mirrored ones;
     ConstantSeriesError when either ranking is constant.
-    Centres rx and ry in place, so they must be distinct float arrays the
-    caller no longer needs; besides them it holds one vector of products.
     """
     # average ranks are half-integers summing to n(n + 1) / 2, so each mean
     # is exactly (n + 1) / 2; identical rankings then centre to ry == rx and
     # mirrored ones to ry == -rx bitwise, and sqrt(fl(S * S)) == S, so the
     # quotient in _correlation is exactly 1 or -1
-    rx -= rx.mean()
-    ry -= ry.mean()
-    products = rx * rx
-    sxx = np.sum(products)
-    syy = np.sum(np.multiply(ry, ry, out=products))
-    return _correlation(sxx, syy, np.sum(np.multiply(rx, ry, out=products)))
+    rx = rx - rx.mean()
+    ry = ry - ry.mean()
+    return _correlation(np.sum(rx * rx), np.sum(ry * ry), np.sum(rx * ry))
 
 
 def rank_correlation_with_codes(rx: np.ndarray, codes: np.ndarray) -> float:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -375,6 +377,36 @@ class TestExperimentFailures:
             f" graphs; first failure: a_tiny: {TINY_ERROR}\n"
         )
         assert not (tmp_path / "out").exists()
+
+
+class TestCsvQuoting:
+    """A file name holding a comma is one quoted cell, so every row keeps the
+    header's field count and the name reads back."""
+
+    def test_trials_rows_keep_seven_fields(self, tmp_path):
+        graphs = tmp_path / "graphs"
+        graphs.mkdir()
+        graphs.joinpath("ring,12.txt").write_text(_ring(12))
+        graphs.joinpath("ring14.txt").write_text(_ring(14))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpus": {"dir": str(graphs)}, "metrics": ["ns", "sns"], "optimizer_iterations": 5,
+        }))
+        code = main(["experiment", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code in (0, 3)  # verdicts may fail on a 2-graph corpus
+        text = next((tmp_path / "out").glob("trials_*.csv")).read_text()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert all(len(row) == 7 for row in rows)
+        assert {row[0] for row in rows[1:]} == {"ring,12", "ring14"}
+
+    def test_compute_row_keeps_five_fields(self, p3_files, tmp_path, capsys):
+        graph, perfect, _ = p3_files
+        layout = tmp_path / "p,q.csv"
+        layout.write_text(perfect.read_text())
+        assert main(["compute", str(graph), str(layout), "--metrics", "ns", "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [len(row) for row in rows] == [5, 5]
+        assert rows[1][:2] == ["p,q", "ns"]
 
 
 class TestExperimentConfigErrors:

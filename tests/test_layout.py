@@ -7,6 +7,7 @@ import pytest
 
 from layoutstress import (
     Layout,
+    LayoutDistances,
     ParseError,
     apsp,
     circle_layout,
@@ -22,7 +23,7 @@ from layoutstress import (
 
 from layoutstress.experiment import corpus_graph
 
-from conftest import complete_graph, gnp_connected, path_graph
+from conftest import complete_graph, cycle_graph, gnp_connected, path_graph
 
 
 class TestLayoutType:
@@ -69,6 +70,11 @@ class TestPairwiseDistances:
         with pytest.raises(ValueError):
             pairwise_distances(Layout(np.zeros((1, 2))))
 
+    def test_square_is_read_only_and_owns_its_data(self):
+        e = pairwise_distances(random_layout(20, 3)).e
+        assert not e.flags.writeable
+        assert e.base is None
+
     @pytest.mark.parametrize("kind", ["random", "circle", "wide"])
     def test_bit_equal_to_difference_tensor(self, kind):
         rng = np.random.default_rng(5)
@@ -83,6 +89,33 @@ class TestPairwiseDistances:
         e = pairwise_distances(Layout(pts)).e
         assert np.array_equal(e, np.sqrt(np.sum(diff * diff, axis=-1)))
         assert np.array_equal(e, e.T)
+
+
+class TestLayoutDistancesStorage:
+    """A read-only array that owns its data is kept; any other is copied."""
+
+    def test_read_only_owner_kept(self):
+        a = pairwise_distances(circle_layout(7)).e.copy()
+        a.setflags(write=False)
+        assert LayoutDistances(a).e is a
+
+    def test_writeable_array_copied(self):
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        distances = LayoutDistances(a)
+        assert distances.e is not a
+        assert not distances.e.flags.writeable
+        a[0, 1] = a[1, 0] = 5.0
+        assert distances.e.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_read_only_view_copied(self):
+        base = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        view = base[:2, :2]
+        view.setflags(write=False)
+        distances = LayoutDistances(view)
+        assert distances.e is not view
+        assert distances.e.base is None
+        base[0, 1] = base[1, 0] = 5.0
+        assert distances.e.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 class TestScaling:
@@ -227,6 +260,36 @@ class TestOptimizeLayout:
                 assert after <= before * (1 + 1e-12)
 
 
+def guttman_reference(distances, seed: int, iterations: int) -> np.ndarray:
+    """The SMACOF loop written out with explicit dx, dy, sqrt and a fresh zero
+    weight matrix each iteration: optimize_layout must match it bit for bit."""
+    n = distances.n
+    inv_d = np.divide(1.0, distances.d, out=np.zeros((n, n)), where=~np.eye(n, dtype=bool))
+    weights = inv_d * inv_d
+    laplacian = np.diag(weights.sum(axis=1)) - weights
+    mean = np.full((n, n), 1.0 / n)
+    laplacian_pinv = np.linalg.inv(laplacian + mean) - mean
+    x = random_layout(n, seed).positions
+    for _ in range(iterations):
+        dx = x[:, 0, None] - x[None, :, 0]
+        dy = x[:, 1, None] - x[None, :, 1]
+        r = np.sqrt(dx * dx + dy * dy)
+        c = np.divide(inv_d, r, out=np.zeros((n, n)), where=r > 0)
+        x = laplacian_pinv @ (c.sum(axis=1)[:, None] * x - c @ x)
+    return x
+
+
+@pytest.mark.parametrize("size", [20, 45, 60, "ring300"])
+def test_optimize_layout_bit_equal_to_written_out_loop(size):
+    if size == "ring300":
+        graph = cycle_graph(300)
+    else:
+        graph = corpus_graph(size, 0.083, np.random.default_rng(size))
+    distances = apsp(graph)
+    positions = optimize_layout(distances, seed=11, iterations=300).positions
+    assert np.array_equal(positions, guttman_reference(distances, 11, 300))
+
+
 class TestLayoutCsv:
     def test_roundtrip_bit_identical(self):
         rng = np.random.default_rng(17)
@@ -251,6 +314,24 @@ class TestLayoutCsv:
     def test_malformed_row_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
             read_layout_csv("id,x,y\n0,oops,0.0\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("id,x,y\n\n0,1,2\n1,x,3\n", "line 4: malformed layout row '1,x,3'"),
+            ("id,x,y\n0,1,2\n\n\n1,3\n", "line 5: expected 'id,x,y', got '1,3'"),
+            ("\n\nid,x,y\n0,1,2\n0,3,4\n", "line 5: duplicate row for vertex id 0"),
+        ],
+        ids=["malformed_after_blank", "short_after_two_blanks", "duplicate_after_leading_blanks"],
+    )
+    def test_blank_lines_keep_file_line_numbers(self, text, message):
+        with pytest.raises(ParseError) as info:
+            read_layout_csv(text)
+        assert str(info.value) == message
+
+    def test_extreme_floats_written_as_repr(self):
+        lay = Layout(np.array([[1e300, 5e-324], [-0.0, 1.0]]))
+        assert write_layout_csv(lay) == "id,x,y\n0,1e+300,5e-324\n1,-0.0,1.0\n"
 
 
 @pytest.mark.parametrize(
