@@ -354,8 +354,9 @@ def runtime_benchmark(
     Each size keeps its graph's distances and one random Layout. A timed
     call is score_layout(layout, d, (metric_id,), force=True), and its time
     is the metric's seconds in the result, as compute reports them: the
-    drawing's distances are built fresh in each call, outside that time, so
-    one is alive at a time and the metric pays their pair extraction. One
+    drawing's distances are built, and their pairs taken, fresh in each
+    call, outside that time, so the metric pays neither and one drawing's
+    distances are alive at a time. One
     warm-up score_layout per size is discarded. Each repetition takes one
     sample of every (size, metric) in turn: calls are timed one by one until
     their summed time reaches BENCH_SAMPLE_FLOOR_SECONDS, and the sample is

@@ -10,8 +10,6 @@ format.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,19 +74,25 @@ class LayoutDistances:
     @cached_property
     def pairs(self) -> np.ndarray:
         """Read-only e_ij over i<j in upper_pairs order, cached for the object's
-        lifetime: one C(n, 2) float64 vector, 16 MB at n = 2000."""
+        lifetime: one C(n, 2) float64 vector, 16 MB at n = 2000. It is not a
+        view of e, so it outlives the object."""
         return upper_pairs(self.e)
+
+
+#: rows of dy^2 that _euclidean adds at a time (4 MB at n = 2000)
+_ROW_BLOCK = 256
 
 
 def _euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sqrt((x_i - x_j)^2 + (y_i - y_j)^2) for every vertex pair, built in
-    place in one n x n float array; dy^2 is freed before the sqrt."""
+    place in one n x n float array. dy^2 is added _ROW_BLOCK rows at a time,
+    so beyond the result the kernel holds at most that many rows of it."""
     e = x[:, None] - x
     e *= e
-    dy = y[:, None] - y
-    dy *= dy
-    e += dy
-    del dy
+    for start in range(0, x.size, _ROW_BLOCK):
+        dy = y[start : start + _ROW_BLOCK, None] - y
+        dy *= dy
+        e[start : start + _ROW_BLOCK] += dy
     return np.sqrt(e, out=e)
 
 
@@ -177,15 +181,27 @@ def optimize_layout(distances: DistanceMatrix, seed: int = 0, iterations: int = 
 LAYOUT_CSV_HEADER = "id,x,y"
 
 
+#: the characters that make csv_text quote a str cell
+_CSV_QUOTED = frozenset(',"\r\n')
+
+
+def _csv_cell(cell) -> str:
+    if cell is None:
+        return ""
+    if not isinstance(cell, str):
+        return repr(cell)
+    if _CSV_QUOTED.isdisjoint(cell):
+        return cell
+    return '"' + cell.replace('"', '""') + '"'
+
+
 def csv_text(rows) -> str:
     """Rows as CSV lines, the package's one cell rule: a str cell as it is,
-    quoted when it holds a comma, a quote or a newline, None as an empty
-    cell, anything else as its repr (a Python float round-trips)."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(
-        [c if isinstance(c, str) else "" if c is None else repr(c) for c in row] for row in rows
-    )
-    return out.getvalue()
+    quoted with its quotes doubled when it holds a comma, a quote, a carriage
+    return or a newline, None as an empty cell, anything else as its repr (a
+    Python float round-trips). Written here rather than by csv.writer, which
+    leaves a carriage return unquoted under a "\\n" line terminator."""
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
 def write_layout_csv(layout: Layout) -> str:

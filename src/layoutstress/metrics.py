@@ -24,10 +24,12 @@ graph.upper_pairs; numpy's pairwise accumulation bounds floating-point
 drift. Each side keeps that vector for the object's lifetime:
 DistanceMatrix.pairs, hop levels in the smallest unsigned dtype (2 MB at
 n = 2000), is all a graph's distances keep, and LayoutDistances.pairs
-(float64, 16 MB) is cached beside the drawing's n x n matrix. The metrics
-of one drawing, and the drawings of one graph, share them, and no metric
-reads a square matrix. Each sum metric works in place in one float64
-temporary of the same length, to which the levels promote exactly.
+(float64, 16 MB) is cached beside the drawing's n x n matrix. score_layout
+and stress_curve take a drawing's pairs and free its matrix before the
+first metric runs. The metrics of one drawing, and the drawings of one
+graph, share the vectors, and no metric reads a square matrix. Each sum
+metric works in place in one float64 temporary of the same length, to
+which the levels promote exactly.
 
 The rank metrics sgs and nms share one rank table the same way:
 DistanceMatrix.pair_codes, for hop levels the pair vector itself. Each
@@ -49,7 +51,7 @@ import numpy as np
 from .errors import DegenerateLayoutError, SizeGuardError
 from .graph import DistanceMatrix
 from .layout import Layout, LayoutDistances, pairwise_distances, scale_layout
-from .stats import isotonic_regression, rank_correlation_with_codes, ranks_from_order
+from .stats import code_counts, isotonic_regression, rank_correlation_with_codes, ranks_from_order
 
 METRIC_IDS = ("rs", "kks", "ns", "sns", "sgs", "scs", "drs", "nms")
 
@@ -118,6 +120,26 @@ class KKParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.l0) and self.l0 > 0.0):
             raise ValueError(f"l0 must be a positive finite real, got {self.l0}")
+
+
+@dataclass(frozen=True, eq=False)
+class _DrawingPairs:
+    """What the metrics read of a drawing: its vertex count and the read-only
+    pair vector LayoutDistances.pairs, without the n x n matrix."""
+
+    n: int
+    pairs: np.ndarray
+
+    @property
+    def max_distance(self) -> float:
+        return float(self.pairs.max())
+
+
+def _drawing_pairs(layout: Layout) -> _DrawingPairs:
+    """The drawing's pairs, taken from pairwise_distances' n x n matrix,
+    which is freed on return."""
+    e = pairwise_distances(layout)
+    return _DrawingPairs(e.n, e.pairs)
 
 
 def _pair_vectors(e: LayoutDistances, d: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +294,7 @@ def distance_ratio_stress(
 def _tied_groups(codes: np.ndarray) -> list[tuple[int, int]]:
     """The sorted positions [start, stop) of each code that two or more
     pairs share, in code order; empty when every code is distinct."""
-    sizes = np.bincount(codes)
+    sizes = code_counts(codes)
     stops = np.cumsum(sizes)
     tied = np.flatnonzero(sizes > 1)
     return list(zip((stops[tied] - sizes[tied]).tolist(), stops[tied].tolist()))
@@ -377,14 +399,17 @@ def score_layout(
 ) -> DrawingScores:
     """Score one drawing under each metric of metric_ids.
 
-    The drawing's distances live only in this call, so a caller scoring
-    drawings in turn holds one drawing's n x n distances at a time. seconds
-    times each compute_metric call alone; compute reports them, and bench
+    The drawing's n x n distances live only until their pair vector is
+    taken, before the first metric runs, so no metric runs beside them and
+    a caller scoring drawings in turn holds one drawing's n x n distances at
+    a time. The metrics and the maximum distance read the pair vector.
+    seconds times each compute_metric call alone, without the distances or
+    their pair extraction; compute reports them, and bench
     (experiment.runtime_benchmark) samples them. drs is skipped when
     distance_ratio_stress refuses it (SizeGuardError: too many vertices and
     force not set).
     """
-    e = pairwise_distances(layout)
+    e = _drawing_pairs(layout)
     scores, alpha_min, seconds, skipped = {}, {}, {}, []
     for metric_id in metric_ids:
         t0 = time.perf_counter()
@@ -424,11 +449,11 @@ def stress_curve(
 
     quad = None
     if metric_id in ("rs", "ns"):
-        quad = SCALE_QUADRATICS[metric_id](pairwise_distances(layout), d)
+        quad = SCALE_QUADRATICS[metric_id](_drawing_pairs(layout), d)
 
     points: list[tuple[float, float]] = []
     for alpha in alphas:
-        scaled = pairwise_distances(scale_layout(layout, alpha))
+        scaled = _drawing_pairs(scale_layout(layout, alpha))
         value = compute_metric(metric_id, scaled, d, kk_params=kk_params, force=force)
         if quad is not None:
             expected = quad.evaluate(alpha)

@@ -30,6 +30,15 @@ def average_ranks(values) -> np.ndarray:
 _RANK_CHUNK = 1 << 13
 
 
+def code_counts(codes: np.ndarray) -> np.ndarray:
+    """np.bincount(codes) for unsigned integer codes, counted _RANK_CHUNK
+    codes at a time, so only a chunk is ever copied to intp."""
+    counts = np.zeros(int(codes.max()) + 1 if codes.size else 0, dtype=np.intp)
+    for start in range(0, codes.size, _RANK_CHUNK):
+        counts += np.bincount(codes[start : start + _RANK_CHUNK], minlength=counts.size)
+    return counts
+
+
 def ranks_from_order(values: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Average ranks of values, given an order that sorts them.
 
@@ -108,7 +117,7 @@ def rank_correlation_with_codes(rx: np.ndarray, codes: np.ndarray) -> float:
     summed in the same order. Centres rx in place; besides rx and the codes
     it holds one vector of products.
     """
-    sizes = np.bincount(codes)
+    sizes = code_counts(codes)
     table = np.cumsum(sizes) - sizes + (sizes + 1) / 2.0
     table -= (codes.size + 1) / 2.0
     rx -= rx.mean()

@@ -176,17 +176,28 @@ def as_layout_distances(matrix: np.ndarray):
     return LayoutDistances(np.asarray(matrix, dtype=float))
 
 
+class DrawingCensus(list):
+    """For each LayoutDistances built, how many built before it were still
+    alive then; alive() counts those alive now."""
+
+    def __init__(self):
+        super().__init__()
+        self.refs = []
+
+    def alive(self) -> int:
+        return sum(ref() is not None for ref in self.refs)
+
+
 @pytest.fixture
 def live_drawings(monkeypatch):
-    """For each LayoutDistances built during the test, how many built before
-    it were still alive then."""
-    refs, overlaps = [], []
+    """A DrawingCensus of the LayoutDistances built during the test."""
+    census = DrawingCensus()
     original = LayoutDistances.__post_init__
 
     def tracked(self):
-        overlaps.append(sum(ref() is not None for ref in refs))
-        refs.append(weakref.ref(self))
+        census.append(census.alive())
+        census.refs.append(weakref.ref(self))
         original(self)
 
     monkeypatch.setattr(LayoutDistances, "__post_init__", tracked)
-    return overlaps
+    return census

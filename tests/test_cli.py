@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from layoutstress import Layout, circle_layout, write_layout_csv
+from layoutstress import Layout, circle_layout, pairwise_distances, random_layout, write_layout_csv
 from layoutstress.cli import main
 from layoutstress.experiment import BENCH_DRS_MAX_VERTICES
 
@@ -94,6 +94,17 @@ class TestCompute:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("input error:") and "'x'" in err[0]
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("drawing", ["random", "circle"])
+    def test_max_drawing_distance_is_the_squares_maximum(self, tmp_path, drawing):
+        layout = random_layout(300, 4) if drawing == "random" else circle_layout(300)
+        graph, layout_path = tmp_path / "ring.txt", tmp_path / "l.csv"
+        graph.write_text(_ring(300))
+        layout_path.write_text(write_layout_csv(layout))
+        out = tmp_path / "r.json"
+        assert main(["compute", str(graph), str(layout_path), "--metrics", "ns", "--out", str(out)]) == 0
+        got = json.loads(out.read_text())["layouts"]["l"]["max_drawing_distance"]
+        assert got == float(pairwise_distances(layout).e.max())
 
     def test_one_drawing_alive_at_a_time(self, p3_files, live_drawings, capsys):
         graph, perfect, doubled = p3_files
@@ -398,6 +409,23 @@ class TestCsvQuoting:
         rows = list(csv.reader(io.StringIO(text)))
         assert all(len(row) == 7 for row in rows)
         assert {row[0] for row in rows[1:]} == {"ring,12", "ring14"}
+
+    def test_carriage_return_in_a_name_is_quoted(self, tmp_path):
+        graphs = tmp_path / "graphs"
+        graphs.mkdir()
+        graphs.joinpath("ring\r12.txt").write_text(_ring(12))
+        graphs.joinpath("ring14.txt").write_text(_ring(14))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpus": {"dir": str(graphs)}, "metrics": ["ns", "sns"], "optimizer_iterations": 5,
+        }))
+        code = main(["experiment", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code in (0, 3)  # verdicts may fail on a 2-graph corpus
+        # bytes, not read_text: a text read would turn the carriage return into a newline
+        text = next((tmp_path / "out").glob("trials_*.csv")).read_bytes().decode("utf-8")
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert all(len(row) == 7 for row in rows)
+        assert {row[0] for row in rows[1:]} == {"ring\r12", "ring14"}
 
     def test_compute_row_keeps_five_fields(self, p3_files, tmp_path, capsys):
         graph, perfect, _ = p3_files

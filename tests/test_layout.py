@@ -22,6 +22,7 @@ from layoutstress import (
 )
 
 from layoutstress.experiment import corpus_graph
+from layoutstress.layout import _euclidean
 
 from conftest import complete_graph, cycle_graph, gnp_connected, path_graph
 
@@ -89,6 +90,13 @@ class TestPairwiseDistances:
         e = pairwise_distances(Layout(pts)).e
         assert np.array_equal(e, np.sqrt(np.sum(diff * diff, axis=-1)))
         assert np.array_equal(e, e.T)
+
+
+@pytest.mark.parametrize("n", [2, 255, 256, 257, 600])
+def test_euclidean_bit_equal_to_unblocked_kernel(n):
+    x, y = random_layout(n, n).positions.T
+    dx, dy = x[:, None] - x, y[:, None] - y
+    assert np.array_equal(_euclidean(x, y), np.sqrt(dx * dx + dy * dy))
 
 
 class TestLayoutDistancesStorage:

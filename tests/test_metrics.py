@@ -795,3 +795,46 @@ class TestStressCurve:
             stress_curve(p3["perfect"], p3["d"], "ns", [])
         with pytest.raises(ValueError):
             stress_curve(p3["perfect"], p3["d"], "ns", [0.0, 1.0])
+
+
+class TestDrawingPairsLifetime:
+    """score_layout and stress_curve free a drawing's n x n distances before
+    the first metric runs; the metrics read its pair vector alone."""
+
+    @staticmethod
+    def count_alive_in_metrics(monkeypatch, census) -> list[int]:
+        seen = []
+        for name in ("compute_metric", "metric_alpha_min"):
+            original = getattr(layoutstress.metrics, name)
+
+            def counting(*args, _original=original, **kwargs):
+                seen.append(census.alive())
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(layoutstress.metrics, name, counting)
+        return seen
+
+    def test_no_square_alive_while_score_layout_scores(self, monkeypatch, live_drawings):
+        seen = self.count_alive_in_metrics(monkeypatch, live_drawings)
+        d = apsp(grid_graph(4, 5))
+        score_layout(random_layout(20, 1), d, ("rs", "kks", "ns", "sns", "sgs", "scs", "nms"))
+        assert len(seen) == 14 and max(seen) == 0, seen
+
+    @pytest.mark.parametrize("metric_id", ["rs", "kks", "nms"])
+    def test_no_square_alive_while_stress_curve_scores(self, monkeypatch, live_drawings, metric_id):
+        seen = self.count_alive_in_metrics(monkeypatch, live_drawings)
+        stress_curve(circle_layout(20), apsp(grid_graph(4, 5)), metric_id, [0.5, 1.0, 3.0])
+        assert len(seen) == 3 and max(seen) == 0, seen
+
+    def test_traced_peak_below_square_plus_two_pair_vectors(self):
+        n = 600
+        d = apsp(bench_graph(n, np.random.default_rng(3)))
+        layout = random_layout(n, 5)
+        assert d.pair_codes is d.pairs  # the graph's inputs, built before tracing
+        tracemalloc.start()
+        try:
+            score_layout(layout, d, ("rs", "kks", "ns", "sns", "sgs", "scs", "nms"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n + 2 * 8 * (n * (n - 1) // 2)
