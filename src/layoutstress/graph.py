@@ -2,7 +2,10 @@
 
 Graphs are undirected, simple, unweighted, with contiguous vertex ids.
 Graph-theoretic distances are hop counts, kept condensed: one integer level
-per unordered vertex pair, in the pair order of upper_pairs.
+per unordered vertex pair, in the pair order of upper_pairs. apsp writes
+them one block of 64 breadth-first sources at a time: it holds the C(V, 2)
+pair vector and, per block, the k x V levels of its k sources, never a
+V x V array.
 """
 
 from __future__ import annotations
@@ -92,12 +95,13 @@ class DistanceMatrix:
     """Positive pairwise distances of n vertices, kept condensed.
 
     Built from a symmetric n x n matrix with a zero diagonal, which is
-    validated in its own dtype and then dropped: the object keeps n and the
-    read-only pair vector. Integer pairs, such as the hop levels of apsp,
-    are kept in the smallest unsigned dtype that holds the largest one (1 B
-    per pair up to 255, so 2 MB at n = 2000); float pairs as float64 (8 B
-    per pair). The metrics read only the pair vector and the rank table
-    pair_codes; d rebuilds the square matrix for the callers that want one.
+    validated in its own dtype and then dropped, or by from_pairs from the
+    pair vector itself: the object keeps n and the read-only pair vector.
+    Integer pairs, such as the hop levels of apsp, are kept in the smallest
+    unsigned dtype that holds the largest one (1 B per pair up to 255, so
+    2 MB at n = 2000); float pairs as float64 (8 B per pair). The metrics
+    read only the pair vector and the rank table pair_codes; d rebuilds the
+    square matrix for the callers that want one.
     """
 
     square: InitVar[np.ndarray]
@@ -120,12 +124,35 @@ class DistanceMatrix:
         # the diagonal is zero, so exactly its n entries may be <= 0
         if np.count_nonzero(d <= 0.0) != d.shape[0]:
             raise ValueError("off-diagonal distances must be positive")
-        object.__setattr__(self, "n", d.shape[0])
         # upper_pairs copies, so the caller's matrix is not kept
-        pairs = upper_pairs(d)
-        dtype = np.min_scalar_type(pairs.max(initial=0)) if d.dtype.kind in "iu" else float
-        pairs = pairs.astype(dtype, copy=False)
+        self._keep(d.shape[0], upper_pairs(d))
+
+    @classmethod
+    def from_pairs(cls, n: int, pairs: np.ndarray) -> DistanceMatrix:
+        """The distances of n vertices from their pair vector, in the pair
+        order of upper_pairs, as apsp builds it. Only the vector is checked:
+        it holds C(n, 2) finite, positive distances. It is kept without a
+        copy when it already has the kept dtype."""
+        pairs = np.asarray(pairs)
+        if n < 0 or pairs.shape != (n * (n - 1) // 2,):
+            raise ValueError(f"{n} vertices need {n * (n - 1) // 2} pairs, got shape {pairs.shape}")
+        # min and max reductions make no pair-length temporary, and NaN
+        # propagates through both
+        low, high = pairs.min(initial=1), pairs.max(initial=1)
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ValueError("pair vector contains non-finite entries")
+        if low <= 0:
+            raise ValueError("pair distances must be positive")
+        self = object.__new__(cls)
+        self._keep(n, pairs)
+        return self
+
+    def _keep(self, n: int, pairs: np.ndarray) -> None:
+        dtype = np.min_scalar_type(pairs.max(initial=0)) if pairs.dtype.kind in "iu" else float
+        # a read-only view, so the caller's own array keeps its flags
+        pairs = pairs.astype(dtype, copy=False).view()
         pairs.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", pairs)
 
     @property
@@ -352,27 +379,77 @@ def largest_connected_component(graph: Graph) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(best), edges), tuple(best)
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Rows of booleans as little-endian uint64 words, column k at bit k."""
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+def _level_blocks(graph: Graph):
+    """Hop levels from one block of 64 sources at a time (the last block
+    holds the rest): yields (first, levels) in source order, levels[s, v]
+    being the hop count from source first + s to vertex v in the smallest
+    unsigned type that holds the block's largest level.
+
+    A block runs its sources' breadth-first searches together, one bit per
+    source in a uint64 word per vertex (the multi-source BFS of Then et al.,
+    VLDB 2014): bit s of vertex v's frontier word is set while v is in
+    source first + s's frontier, and of its unreached word until that search
+    reaches v. A level ORs the frontier words over the neighbour table
+    Graph.neighbours, in which every vertex also lists itself, and ORs the
+    new frontier into one bit plane for each binary digit of the level's
+    number; the levels are unpacked from the planes at the block's end. A
+    block holds V words each of frontier, unreached sources and planes,
+    V + 2E gathered words, and k x V levels and unpacked bits for its k
+    sources: O(diam*(V+E)*ceil(V/64)) word operations and O(log(diam)*V^2)
+    unpacked bits over all blocks.
+
+    Raises DisconnectedGraphError naming vertex 0 and the smallest vertex
+    it cannot reach, from the first block, if the graph is not connected.
+    """
+    n = graph.vertex_count
+    nbr, starts = graph.neighbours
+    for first in range(0, n, 64):
+        k = min(64, n - first)
+        bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+        # little-endian words, so byte b of a word holds bits 8b to 8b + 7
+        frontier = np.zeros(n, "<u8")
+        frontier[first : first + k] = bits
+        unreached = np.full(n, np.bitwise_or.reduce(bits), "<u8")
+        unreached[first : first + k] ^= bits
+        # planes[p]: bit p of the level at which each search reached each vertex
+        planes = []
+        level = 0
+        while unreached.any():
+            level += 1
+            np.bitwise_and(np.bitwise_or.reduceat(frontier[nbr], starts), unreached, out=frontier)
+            if not frontier.any():
+                missing = int(np.flatnonzero(unreached & 1)[0])
+                raise DisconnectedGraphError(
+                    f"graph is disconnected: no path between vertices 0 and {missing}"
+                )
+            unreached ^= frontier
+            if level.bit_length() > len(planes):
+                planes.append(np.zeros(n, "<u8"))
+            for p, plane in enumerate(planes):
+                if level >> p & 1:
+                    plane |= frontier
+        # unpacked vertex-major, as the words lie, and yielded transposed
+        levels = np.zeros((n, k), np.min_scalar_type(level))
+        for p, plane in enumerate(planes):
+            digit = np.unpackbits(
+                plane.view(np.uint8).reshape(n, 8), axis=1, count=k, bitorder="little"
+            )
+            levels |= digit.astype(levels.dtype, copy=False) << p
+        yield first, levels.T
 
 
 def apsp(graph: Graph) -> DistanceMatrix:
-    """All-pairs shortest-path hop counts by one BFS from every vertex at once.
+    """All-pairs shortest-path hop counts, one block of 64 sources at a time.
 
-    The searches advance level by level together, one bit per source and
-    64 sources to a uint64 word (the multi-source BFS of Then et al., VLDB
-    2014). A level ORs the frontier words over the neighbour table
-    Graph.neighbours, in which every vertex also lists itself, and adds one
-    unpacked bit per (vertex, source) pair still unreached to the distances:
-    O(diam*(V+E)*ceil(V/64)) word operations and O(diam*V^2) unpacked bits
-    in all. The levels are counted in a V x V array of the smallest unsigned
-    integer type that holds V - 1 (2 B per entry up to 65,536 vertices),
-    which DistanceMatrix validates in that type and condenses to pairs in
-    the smallest unsigned type that holds the diameter. Besides these it
-    holds V x ceil(V/64) words of frontier and of unreached sources,
-    (V+2E) x ceil(V/64) gathered words, and a V x V byte array of unpacked
-    bits.
+    Each block of _level_blocks writes its sources' upper rows (the pairs
+    i < j) into one pair vector of C(V, 2) levels, which becomes the
+    DistanceMatrix through DistanceMatrix.from_pairs: no V x V array is
+    built. The first block fixes the vector's type, the smallest unsigned
+    one that holds twice vertex 0's eccentricity (a bound on the diameter,
+    as d(u, v) <= d(u, 0) + d(0, v)), capped at V - 1; from_pairs narrows it
+    once to the smallest type that holds the diameter (1 B per pair up to
+    255, so 2 MB at V = 2000). Besides the vector, apsp holds one block of
+    _level_blocks at a time.
 
     Raises DisconnectedGraphError naming vertex 0 and the smallest vertex
     it cannot reach if the graph is not connected.
@@ -380,22 +457,13 @@ def apsp(graph: Graph) -> DistanceMatrix:
     n = graph.vertex_count
     if n < 2:
         raise ValueError(f"shortest paths need at least 2 vertices, got {n}")
-    nbr, starts = graph.neighbours
-    vertices = np.arange(n)
-    # row v, bit s: source s's search has v in its frontier / has not reached v
-    sources = np.arange(-(-n // 64) * 64)
-    frontier = _pack_bits(vertices[:, None] == sources)
-    unreached = _pack_bits((vertices[:, None] != sources) & (sources < n))
-    d = np.zeros((n, n), dtype=np.min_scalar_type(n - 1))
-    while unreached.any():
-        d += np.unpackbits(unreached.view(np.uint8), axis=1, count=n, bitorder="little")
-        np.bitwise_and(
-            np.bitwise_or.reduceat(frontier[nbr], starts, axis=0), unreached, out=frontier
-        )
-        if not frontier.any():
-            missing = int(np.flatnonzero(unreached[:, 0] & 1)[0])
-            raise DisconnectedGraphError(
-                f"graph is disconnected: no path between vertices 0 and {missing}"
-            )
-        unreached ^= frontier
-    return DistanceMatrix(d)
+    pairs = None
+    filled = 0
+    for first, levels in _level_blocks(graph):
+        if pairs is None:
+            bound = min(2 * int(levels[0].max()), n - 1)
+            pairs = np.empty(n * (n - 1) // 2, np.min_scalar_type(bound))
+        for i, row in enumerate(levels, first):
+            pairs[filled : filled + n - 1 - i] = row[i + 1 :]
+            filled += n - 1 - i
+    return DistanceMatrix.from_pairs(n, pairs)

@@ -91,10 +91,8 @@ def floyd_warshall(g: Graph) -> np.ndarray:
     for u, v in g.edges:
         d[u, v] = d[v, u] = 1.0
     for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if d[i, k] + d[k, j] < d[i, j]:
-                    d[i, j] = d[i, k] + d[k, j]
+        # every i, j at once: row and column k do not change in step k
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
     return d
 
 

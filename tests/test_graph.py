@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from layoutstress import (
     serialize_edge_list,
     shepard_goodness,
 )
-from layoutstress.graph import read_graph_file
+from layoutstress.experiment import bench_graph
+from layoutstress.graph import read_graph_file, upper_pairs
 
 from conftest import complete_graph, cycle_graph, floyd_warshall, gnp_connected, grid_graph, path_graph
 
@@ -188,6 +190,30 @@ class TestDistanceMatrix:
         LayoutDistances; the first two cases are the non-positive off-diagonal."""
         with pytest.raises(ValueError, match=message):
             cls(m)
+
+    @pytest.mark.parametrize(
+        "n, pairs, message",
+        [
+            (3, np.array([1, 2], np.uint8), "3 vertices need 3 pairs, got shape"),
+            (3, np.array([1, 0, 1], np.uint8), "must be positive"),
+            (3, np.array([1.0, np.nan, 1.0]), "non-finite"),
+            (3, np.array([1.0, np.inf, 1.0]), "non-finite"),
+        ],
+        ids=["wrong_length", "zero_level", "nan", "inf"],
+    )
+    def test_from_pairs_refuses_a_malformed_vector(self, n, pairs, message):
+        with pytest.raises(ValueError, match=message) as excinfo:
+            DistanceMatrix.from_pairs(n, pairs)
+        assert "\n" not in str(excinfo.value)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64, np.float32])
+    def test_from_pairs_keeps_the_square_paths_dtype(self, dtype):
+        square = _p3_square().astype(dtype)
+        pairs = upper_pairs(square).copy()
+        d = DistanceMatrix.from_pairs(3, pairs)
+        assert d.pairs.dtype == DistanceMatrix(square).pairs.dtype
+        assert np.array_equal(d.pairs, DistanceMatrix(square).pairs)
+        assert not d.pairs.flags.writeable and pairs.flags.writeable
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64, np.float32])
     @pytest.mark.parametrize(
@@ -460,6 +486,14 @@ def _union_find_components(g: Graph) -> list[list[int]]:
     return [groups[r] for r in sorted(groups)]
 
 
+def _ring_with_chords(n: int) -> Graph:
+    """A ring on n vertices with n // 8 random chords: connected and several
+    levels deep."""
+    rng = np.random.default_rng(n)
+    chords = [tuple(map(int, rng.choice(n, 2, replace=False))) for _ in range(n // 8)]
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + chords)
+
+
 def _assert_disconnected(g: Graph, missing: int) -> None:
     with pytest.raises(DisconnectedGraphError) as excinfo:
         apsp(g)
@@ -550,6 +584,33 @@ class TestApsp:
     def test_matches_floyd_warshall_extreme_shapes(self, g):
         # 128 levels; two levels from every leaf; one level
         assert np.array_equal(apsp(g).d, floyd_warshall(g))
+
+    @pytest.mark.parametrize(
+        "g",
+        [_ring_with_chords(192), _ring_with_chords(193), path_graph(300), path_graph(200)],
+        ids=["ring192", "ring193", "path300", "path200"],
+    )
+    def test_pairs_equal_floyd_warshall_across_blocks(self, g):
+        # three full blocks of 64 sources, and one source over; uint16
+        # levels; twice vertex 0's eccentricity (398) above uint8 while the
+        # diameter (199) is not
+        want = DistanceMatrix(floyd_warshall(g).astype(np.int64)).pairs
+        got = apsp(g).pairs
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_holds_no_square(self):
+        # the pair vector is C(n, 2) bytes of uint8 levels; an n x n level
+        # array alone would be 2 * n^2 bytes of uint16
+        n = 2000
+        g = bench_graph(n, np.random.default_rng(97))
+        tracemalloc.start()
+        try:
+            d = apsp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.pairs.dtype == np.uint8
+        assert peak < 4 * (n * (n - 1) // 2), peak
 
     def test_isolated_vertex_zero(self):
         _assert_disconnected(Graph.from_edges(4, [(1, 2), (2, 3)]), 1)
