@@ -59,6 +59,10 @@ def _parse_metric_list(text: str) -> tuple[str, ...]:
         raise _UsageError(str(exc)) from None
 
 
+#: each sample scores a whole scaled drawing, so a plot needs far fewer
+_MAX_ALPHA_SAMPLES = 100_000
+
+
 def _parse_alpha_grid(text: str) -> list[float]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
@@ -75,6 +79,8 @@ def _parse_alpha_grid(text: str) -> list[float]:
         raise _UsageError("alpha grid endpoints must be positive finite reals")
     if count < 2:
         raise _UsageError("alpha grid needs at least 2 samples")
+    if count > _MAX_ALPHA_SAMPLES:
+        raise _UsageError(f"alpha grid of {count} samples exceeds the limit of {_MAX_ALPHA_SAMPLES}")
     if spacing == "log":
         return np.geomspace(start, stop, count).tolist()
     return np.linspace(start, stop, count).tolist()
@@ -124,7 +130,7 @@ def _load_graph(path_text: str) -> tuple[Graph, dict]:
 def _load_layout(path_text: str, graph: Graph) -> Layout:
     path = Path(path_text)
     try:
-        layout = read_layout_csv(path.read_text(encoding="utf-8"))
+        layout = read_layout_csv(path.read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if layout.n != graph.vertex_count:
@@ -233,7 +239,7 @@ def _read_config(path: Path) -> exp.ExperimentConfig:
     """The experiment config in a JSON file; the caller names the file in errors.
     Only the JSON shape is checked here; ExperimentConfig checks the values."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -177,19 +177,13 @@ class DistanceMatrix:
         Unsigned integer pairs below n, as apsp's levels are, are their own
         codes (a level no pair has is an empty bin of a per-code table). The
         dtype decides, not the values: other pairs, a float square of whole
-        numbers too, get dense codes from a slower sort, cached in the
-        smallest unsigned dtype that holds them."""
+        numbers too, get each one's index among the distinct values
+        (np.unique), cached in the smallest unsigned dtype that holds them."""
         pairs = self.pairs
         if pairs.dtype.kind == "u" and self.max_distance < self.n:
             return pairs
-        order = np.argsort(pairs)
-        ordered = pairs[order]
-        changes = ordered[1:] != ordered[:-1]
-        del ordered  # a pair-length copy: freed before the codes are built
-        dtype = np.min_scalar_type(int(changes.sum()))
-        codes = np.empty(pairs.size, dtype)
-        codes[order[:1]] = 0
-        codes[order[1:]] = np.cumsum(changes, dtype=dtype)
+        codes = np.unique(pairs, return_inverse=True)[1]
+        codes = codes.astype(np.min_scalar_type(int(codes.max(initial=0))))
         codes.setflags(write=False)
         return codes
 
@@ -318,11 +312,12 @@ def read_graph_file(path) -> ParsedGraph:
     """Read a graph file: Matrix Market by suffix (.mtx/.mm), else an edge list.
 
     Raises ParseError naming the file when it cannot be read or decoded as
-    UTF-8, does not parse, or holds no vertices.
+    UTF-8 (a leading byte-order mark is skipped), does not parse, or holds
+    no vertices.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
         if path.suffix.lower() in (".mtx", ".mm"):
             parsed = parse_matrix_market(text)
         else:
@@ -371,8 +366,13 @@ def largest_connected_component(graph: Graph) -> tuple[Graph, tuple[int, ...]]:
     """
     if graph.vertex_count == 0:
         raise ValueError("empty graph has no components")
-    components = connected_components(graph)
-    best = max(components, key=lambda c: (len(c), -c[0]))
+    # only edge endpoints are searched (vertex 0 when there are none), as no
+    # isolated vertex outgrows a component with an edge; so ids may be sparse
+    carriers = sorted({v for edge in graph.edges for v in edge}) or [0]
+    position = {v: k for k, v in enumerate(carriers)}
+    edges = tuple((position[u], position[v]) for u, v in graph.edges)
+    components = connected_components(Graph(len(carriers), edges))
+    best = [carriers[k] for k in max(components, key=lambda c: (len(c), -c[0]))]
     old_to_new = {old: new for new, old in enumerate(best)}
     # renumbering keeps id order, so the edges stay sorted with u < v
     edges = tuple((old_to_new[u], old_to_new[v]) for u, v in graph.edges if u in old_to_new)

@@ -51,7 +51,7 @@ import numpy as np
 from .errors import DegenerateLayoutError, SizeGuardError
 from .graph import DistanceMatrix
 from .layout import Layout, LayoutDistances, pairwise_distances, scale_layout
-from .stats import code_counts, isotonic_regression, rank_correlation_with_codes, ranks_from_order
+from .stats import isotonic_regression, rank_correlation_with_codes, ranks_from_order
 
 METRIC_IDS = ("rs", "kks", "ns", "sns", "sgs", "scs", "drs", "nms")
 
@@ -294,7 +294,7 @@ def distance_ratio_stress(
 def _tied_groups(codes: np.ndarray) -> list[tuple[int, int]]:
     """The sorted positions [start, stop) of each code that two or more
     pairs share, in code order; empty when every code is distinct."""
-    sizes = code_counts(codes)
+    sizes = np.bincount(codes)
     stops = np.cumsum(sizes)
     tied = np.flatnonzero(sizes > 1)
     return list(zip((stops[tied] - sizes[tied]).tolist(), stops[tied].tolist()))

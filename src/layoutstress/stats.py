@@ -25,18 +25,9 @@ def average_ranks(values) -> np.ndarray:
     return ranks_from_order(vals, np.argsort(vals))
 
 
-#: sorted positions that ranks_from_order handles at a time; its temporaries
-#: beyond the ranks and one byte per value are a few vectors of this length
+#: sorted positions whose ranks ranks_from_order writes at a time; beyond the
+#: ranks and the mask, its temporaries then are a few vectors of this length
 _RANK_CHUNK = 1 << 13
-
-
-def code_counts(codes: np.ndarray) -> np.ndarray:
-    """np.bincount(codes) for unsigned integer codes, counted _RANK_CHUNK
-    codes at a time, so only a chunk is ever copied to intp."""
-    counts = np.zeros(int(codes.max()) + 1 if codes.size else 0, dtype=np.intp)
-    for start in range(0, codes.size, _RANK_CHUNK):
-        counts += np.bincount(codes[start : start + _RANK_CHUNK], minlength=counts.size)
-    return counts
 
 
 def ranks_from_order(values: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -44,19 +35,17 @@ def ranks_from_order(values: np.ndarray, order: np.ndarray) -> np.ndarray:
 
     A group of equal values at sorted positions [start, stop) shares the
     rank (start + stop + 1) / 2, an exact half-integer, so any sorting order
-    gives the same ranks. Besides the ranks it holds one byte per value, a
-    mask of where the sorted values change, and two vectors of the number of
-    groups when some values tie; everything else is done _RANK_CHUNK sorted
-    positions at a time.
+    gives the same ranks. A mask of where the sorted values change, one byte
+    per value, is built from one gather of them, freed before the ranks are
+    allocated; the ranks are then written _RANK_CHUNK sorted positions at a
+    time, with two vectors of the number of groups when some values tie.
     """
     size = order.size
+    sorted_vals = values[order]
     changes = np.empty(size, dtype=bool)
     changes[:1] = True
-    for start in range(0, size, _RANK_CHUNK):
-        stop = min(start + _RANK_CHUNK, size)
-        sorted_vals = values[order[max(start - 1, 0) : stop]]
-        np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=changes[max(start, 1) : stop])
-        del sorted_vals
+    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=changes[1:])
+    del sorted_vals
     ranks = np.empty(size)
     if changes.all():
         for start in range(0, size, _RANK_CHUNK):
@@ -115,9 +104,9 @@ def rank_correlation_with_codes(rx: np.ndarray, codes: np.ndarray) -> float:
     rank_correlation would compute, as the mean is exactly (n + 1) / 2.
     Every product is then formed from the same two numbers as there and
     summed in the same order. Centres rx in place; besides rx and the codes
-    it holds one vector of products.
+    it holds one pair vector at a time: bincount's intp copy, then products.
     """
-    sizes = code_counts(codes)
+    sizes = np.bincount(codes)
     table = np.cumsum(sizes) - sizes + (sizes + 1) / 2.0
     table -= (codes.size + 1) / 2.0
     rx -= rx.mean()

@@ -151,6 +151,42 @@ class TestCompute:
         assert main(["compute", str(graph), str(layout), "--metrics", "rs", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["layouts"]["lay"]["metrics"]["rs"]["value"] == 0.0
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("sparse.txt", "0 1\n1 2\n2 3\n1000000000000000 1000000000000001\n"),
+            ("sparse.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n"
+             "1000000000000000 1000000000000000 4\n1 2\n2 3\n3 4\n"
+             "1000000000000000 999999999999999\n"),
+        ],
+        ids=["edge_list", "matrix_market"],
+    )
+    def test_sparse_vertex_ids(self, tmp_path, name, text):
+        # a 4-vertex path plus one far edge: the path is scored, and no array
+        # is sized by the largest id
+        graph = tmp_path / name
+        graph.write_text(text)
+        layout = tmp_path / "line.csv"
+        layout.write_text(write_layout_csv(Layout(np.column_stack([np.arange(4.0), np.zeros(4)]))))
+        out = tmp_path / "report.json"
+        argv = ["compute", str(graph), str(layout), "--metrics", "rs,ns,sgs", "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        assert report["graph"]["new_to_old"] == [0, 1, 2, 3]
+        metrics = report["layouts"]["line"]["metrics"]
+        assert [metrics[m]["value"] for m in ("rs", "ns", "sgs")] == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("marked", [0, 1], ids=["graph", "layout"])
+    def test_byte_order_mark_is_skipped(self, p3_files, tmp_path, marked):
+        files = list(p3_files[:2])
+        files[marked] = tmp_path / f"bom{files[marked].suffix}"
+        files[marked].write_bytes(b"\xef\xbb\xbf" + p3_files[marked].read_bytes())
+        out = tmp_path / "report.json"
+        assert main(["compute", *map(str, files), "--metrics", "rs", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["graph"]["vertex_count"] == 3
+        assert report["layouts"][files[1].stem]["metrics"]["rs"]["value"] == 0.0
+
 
 class TestCurve:
     def test_sns_constant_column(self, p3_files, tmp_path):
@@ -231,8 +267,12 @@ class TestCurve:
             (["--metric", "ns", "--alpha-grid", "1,2,3"],
              "alpha grid must be 'start,stop,count,log|linear'"),
             (["--metric", "ns", "--alpha-grid", "a,2,5,log"], "malformed alpha grid 'a,2,5,log'"),
+            (["--metric", "ns", "--alpha-grid", "0.1,10,1000000000000000,log"],
+             "alpha grid of 1000000000000000 samples exceeds the limit of 100000"),
+            (["--metric", "ns", "--alpha-grid", "1,2,100001,linear"],
+             "alpha grid of 100001 samples exceeds the limit of 100000"),
         ],
-        ids=["two_metrics", "three_grid_fields", "malformed_grid"],
+        ids=["two_metrics", "three_grid_fields", "malformed_grid", "huge_grid", "grid_over_limit"],
     )
     def test_usage_error_message(self, p3_files, capsys, flags, message):
         graph, perfect, _ = p3_files
@@ -317,6 +357,14 @@ class TestExperimentCommand:
         summary = json.loads(next(out.glob("summary_*.json")).read_text())
         assert summary["config"]["scale_policy"] == "as-is"
 
+    def test_config_with_a_byte_order_mark(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps(self.CONFIG).encode())
+        out = tmp_path / "out"
+        assert main(["experiment", str(config), "--out-dir", str(out)]) in (0, 3)
+        summary = json.loads(next(out.glob("summary_*.json")).read_text())
+        assert summary["config"]["corpus"]["seed"] == 19
+
     def test_bad_config_exits_2(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json")
@@ -334,15 +382,17 @@ class TestExperimentCommand:
             "%%MatrixMarket matrix coordinate pattern symmetric\n"
             "9 9 12\n1 2\n2 3\n4 5\n5 6\n7 8\n8 9\n1 4\n4 7\n2 5\n5 8\n3 6\n6 9\n"
         )
+        # ids far beyond any array: the graph is reduced to its ring
+        graphs.joinpath("sparse.txt").write_text(_ring(12) + "1000000000000000 1000000000000001\n")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "corpus": {"dir": str(graphs), "seed": 3},
             "optimizer_iterations": 40,
         }))
         code = main(["experiment", str(config), "--out-dir", str(tmp_path / "out")])
-        assert code in (0, 3)  # verdicts may fail on a 2-graph corpus
+        assert code in (0, 3)  # verdicts may fail on a 3-graph corpus
         trials = next((tmp_path / "out").glob("trials_*.csv")).read_text()
-        assert "grid," in trials and "ring," in trials
+        assert "grid," in trials and "ring," in trials and "sparse,12," in trials
         missing = tmp_path / "nope"
         config.write_text(json.dumps({"corpus": {"dir": str(missing)}}))
         assert main(["experiment", str(config), "--out-dir", str(tmp_path / "out2")]) == 2

@@ -137,7 +137,9 @@ class TestDistanceMatrix:
             m = np.where(np.eye(n, dtype=bool), 0.0, np.round(m, 1) + 0.05)
         d = DistanceMatrix(m)
         assert d.pairs.dtype == np.float64
-        assert d.pair_codes.tolist() == np.unique(d.pairs, return_inverse=True)[1].tolist()
+        # each pair's index in the sorted distinct values
+        index = {value: k for k, value in enumerate(sorted(set(d.pairs.tolist())))}
+        assert d.pair_codes.tolist() == [index[p] for p in d.pairs.tolist()]
 
     @pytest.mark.parametrize("n", [2, 64, 129])
     def test_keeps_only_the_condensed_pairs(self, n):
@@ -466,6 +468,15 @@ class TestLargestComponent:
         sub, new_to_old = largest_connected_component(Graph(20_000, ((7_000, 19_999),)))
         assert new_to_old == (7_000, 19_999)
         assert sub == Graph(2, ((0, 1),))
+
+    def test_sparse_ids_far_beyond_any_array(self):
+        far = 10**15
+        g = Graph(far + 2, ((0, 1), (far, far + 1)))
+        assert largest_connected_component(g) == (Graph(2, ((0, 1),)), (0, 1))
+        g = Graph(far + 2, ((1, 2), (2, 3), (far, far + 1)))
+        assert largest_connected_component(g) == (Graph(3, ((0, 1), (1, 2))), (1, 2, 3))
+        # without edges every component is one vertex, and vertex 0 wins the tie
+        assert largest_connected_component(Graph(far, ())) == (Graph(1, ()), (0,))
 
 
 def _union_find_components(g: Graph) -> list[list[int]]:

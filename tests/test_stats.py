@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ import pytest
 from layoutstress import ConstantSeriesError, average_ranks, isotonic_regression, spearman
 from layoutstress.stats import (
     _RANK_CHUNK,
-    code_counts,
     rank_correlation,
     rank_correlation_with_codes,
     ranks_from_order,
@@ -144,27 +142,6 @@ class TestRankCorrelationWithCodes:
             rank_correlation_with_codes(np.full(4, 2.5), codes)
         with pytest.raises(ConstantSeriesError):
             rank_correlation_with_codes(np.arange(1.0, 5.0), np.zeros(4, dtype=np.uint8))
-
-
-class TestCodeCounts:
-    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
-    @pytest.mark.parametrize("size", [0, 1, _RANK_CHUNK, 3 * _RANK_CHUNK + 5])
-    def test_equals_bincount(self, dtype, size):
-        # only multiples of 3 are drawn, so the counts hold empty bins
-        codes = (3 * np.random.default_rng(size).integers(0, 80, size=size)).astype(dtype)
-        got = code_counts(codes)
-        assert got.dtype == np.bincount(codes).dtype
-        assert np.array_equal(got, np.bincount(codes))
-
-    def test_traced_peak_without_an_intp_copy(self):
-        codes = np.random.default_rng(2).integers(0, 5000, size=2_000_000).astype(np.uint16)
-        tracemalloc.start()
-        try:
-            code_counts(codes)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
 
 
 class TestSpearman:
