@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
@@ -585,6 +586,21 @@ class TestSharedRankTables:
         # path P5: four pairs at distance 1, three at 2, two at 3, one at 4
         d = apsp(path_graph(5))
         assert _tied_groups(d.pair_codes) == [(0, 4), (4, 7), (7, 9)]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    def test_tied_groups_skip_empty_codes(self, dtype):
+        # only multiples of 3 are drawn, so most codes are empty bins; the
+        # last code is drawn once and makes no group
+        codes = (3 * np.random.default_rng(8).integers(0, 80, size=500)).astype(dtype)
+        codes[-1] = 243
+        expected, start = [], 0
+        for _, run in itertools.groupby(sorted(codes.tolist())):
+            stop = start + len(list(run))
+            if stop - start > 1:
+                expected.append((start, stop))
+            start = stop
+        assert expected[-1][1] == codes.size - 1
+        assert _tied_groups(codes) == expected
 
     def test_all_distinct_distances_sort_no_group(self):
         d = DistanceMatrix(pairwise_distances(random_layout(200, 2)).e)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,24 @@ class TestAverageRanks:
             order = np.argsort(vals, kind=kind)
             assert np.array_equal(ranks_from_order(vals, order), expected)
 
+    @pytest.mark.parametrize("ties", ["none", "many"])
+    def test_ranks_from_order_frees_the_gather_before_the_ranks(self, ties):
+        # the sorted gather and the ranks are never alive together: beyond
+        # the ranks and the byte mask, only two vectors of the group count
+        # and short chunk temporaries
+        size = 1_000_000
+        vals = np.random.default_rng(4).permutation(size).astype(float)
+        if ties == "many":
+            vals //= 7.0
+        order = np.argsort(vals)
+        groups = 0 if ties == "none" else np.unique(vals).size
+        tracemalloc.start()
+        try:
+            ranks_from_order(vals, order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * size + 16 * groups + (1 << 20)
 
     def test_matches_scipy_rankdata_on_ties(self):
         stats = pytest.importorskip("scipy.stats")
@@ -135,6 +154,29 @@ class TestRankCorrelationWithCodes:
         assert rank_correlation_with_codes(ranks.copy(), codes) == 1.0
         assert rank_correlation_with_codes(codes.size + 1.0 - ranks, codes) == -1.0
         assert self._expected(ranks, codes) == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    @pytest.mark.parametrize("size", [2, _RANK_CHUNK, 3 * _RANK_CHUNK + 5])
+    def test_codes_with_empty_bins(self, dtype, size):
+        # only multiples of 3 are drawn, so most codes are empty bins
+        rng = np.random.default_rng(size)
+        codes = (3 * rng.integers(0, 80, size=size)).astype(dtype)
+        codes[:2] = (0, 3)
+        rx = average_ranks(rng.normal(size=size))
+        assert rank_correlation_with_codes(rx.copy(), codes) == self._expected(rx, codes)
+
+    def test_traced_peak_is_one_pair_vector(self):
+        # beyond rx and the codes: bincount's intp copy, then the products
+        rng = np.random.default_rng(2)
+        codes = rng.integers(0, 5000, size=2_000_000).astype(np.uint16)
+        rx = average_ranks(rng.normal(size=codes.size))
+        tracemalloc.start()
+        try:
+            rank_correlation_with_codes(rx, codes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * codes.size
 
     def test_constant_series_rejected(self):
         codes = np.array([0, 1, 2, 1], dtype=np.uint8)
