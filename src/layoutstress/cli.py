@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -127,6 +128,18 @@ def _load_graph(path_text: str) -> tuple[Graph, dict]:
     return component, info
 
 
+@contextmanager
+def _memory_for(path_text: str, graph: Graph):
+    """Turn a MemoryError, from the graph's pair vector or a drawing's n x n
+    distances, into an input error naming the graph file and its size."""
+    try:
+        yield
+    except MemoryError:
+        raise ValueError(
+            f"{path_text}: not enough memory for the distances of {graph.vertex_count} vertices"
+        ) from None
+
+
 def _load_layout(path_text: str, graph: Graph) -> Layout:
     path = Path(path_text)
     try:
@@ -158,23 +171,25 @@ def _cmd_compute(args) -> int:
                 " the report keys layouts by file stem"
             )
         layouts[name] = (layout_path, _load_layout(layout_path, graph))
-    d = apsp(graph)
 
     report_layouts = {}
-    for name, (layout_path, layout) in layouts.items():
-        try:
-            scored = score_layout(layout, d, metric_ids, kk_params=kk_params, force=args.force)
-        except ValueError as exc:
-            raise ValueError(f"{layout_path}: {exc}") from exc
-        report_layouts[name] = {
-            "path": layout_path,
-            "max_drawing_distance": scored.max_distance,
-            "metrics": {
-                m: {"value": v, "alpha_min": scored.alpha_min.get(m), "seconds": scored.seconds[m]}
-                for m, v in scored.scores.items()
-            },
-            "skipped": scored.skipped,
-        }
+    with _memory_for(args.graph, graph):
+        d = apsp(graph)
+        for name, (layout_path, layout) in layouts.items():
+            try:
+                scored = score_layout(layout, d, metric_ids, kk_params=kk_params, force=args.force)
+            except ValueError as exc:
+                raise ValueError(f"{layout_path}: {exc}") from exc
+            report_layouts[name] = {
+                "path": layout_path,
+                "max_drawing_distance": scored.max_distance,
+                "metrics": {
+                    m: {"value": v, "alpha_min": scored.alpha_min.get(m),
+                        "seconds": scored.seconds[m]}
+                    for m, v in scored.scores.items()
+                },
+                "skipped": scored.skipped,
+            }
 
     report = {
         "command": "compute",
@@ -204,19 +219,20 @@ def _cmd_curve(args) -> int:
         raise _UsageError("curve takes exactly one metric")
     alphas = _parse_alpha_grid(args.alpha_grid)
     kk_params = KKParams(args.l0) if args.l0 is not None else None
-    d = apsp(graph)
-    try:
-        points = stress_curve(
-            layout, d, metric_ids[0], alphas, kk_params=kk_params, force=args.force
-        )
-    except SizeGuardError:
-        # the graph's size is at fault, and the override is a flag here
-        raise ValueError(
-            f"{args.graph}: distance-ratio stress on {graph.vertex_count} vertices is refused"
-            f" above {DRS_MAX_VERTICES}; pass --force to compute anyway"
-        ) from None
-    except ValueError as exc:
-        raise ValueError(f"{args.layout}: {exc}") from exc
+    with _memory_for(args.graph, graph):
+        d = apsp(graph)
+        try:
+            points = stress_curve(
+                layout, d, metric_ids[0], alphas, kk_params=kk_params, force=args.force
+            )
+        except SizeGuardError:
+            # the graph's size is at fault, and the override is a flag here
+            raise ValueError(
+                f"{args.graph}: distance-ratio stress on {graph.vertex_count} vertices is refused"
+                f" above {DRS_MAX_VERTICES}; pass --force to compute anyway"
+            ) from None
+        except ValueError as exc:
+            raise ValueError(f"{args.layout}: {exc}") from exc
     report = {
         "command": "curve",
         "config": {

@@ -371,6 +371,8 @@ def runtime_benchmark(
         raise ValueError(f"sizes must be >= {MIN_CORPUS_VERTICES}, got {sizes}")
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions, got {repetitions}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     metric_ids = check_metric_ids(metric_ids)
     if "drs" in metric_ids and not force and max(sizes) > BENCH_DRS_MAX_VERTICES:
         raise SizeGuardError(

@@ -5,12 +5,13 @@ Graph-theoretic distances are hop counts, kept condensed: one integer level
 per unordered vertex pair, in the pair order of upper_pairs. apsp writes
 them one block of 64 breadth-first sources at a time: it holds the C(V, 2)
 pair vector and, per block, the k x V levels of its k sources, never a
-V x V array.
+V x V array. A DistanceMatrix is the record of V and that pair vector,
+checked once when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -92,68 +93,53 @@ def upper_pairs(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Positive pairwise distances of n vertices, kept condensed.
-
-    Built from a symmetric n x n matrix with a zero diagonal, which is
-    validated in its own dtype and then dropped, or by from_pairs from the
-    pair vector itself: the object keeps n and the read-only pair vector.
-    Integer pairs, such as the hop levels of apsp, are kept in the smallest
-    unsigned dtype that holds the largest one (1 B per pair up to 255, so
-    2 MB at n = 2000); float pairs as float64 (8 B per pair). The metrics
-    read only the pair vector and the rank table pair_codes; d rebuilds the
+    """Positive distances of n vertices, kept condensed: pairs holds them in
+    the pair order of upper_pairs, as apsp builds them, and the constructor
+    checks it once (C(n, 2) finite, positive entries). Integer pairs, such as
+    apsp's hop levels, are kept in the smallest unsigned dtype that holds the
+    largest one (1 B per pair up to 255, so 2 MB at n = 2000), float pairs as
+    float64 (8 B per pair), as a read-only view, without a copy when the
+    dtype already fits. from_square builds one from an n x n matrix. The
+    metrics read only pairs and the rank table pair_codes; d rebuilds the
     square matrix for the callers that want one.
     """
 
-    square: InitVar[np.ndarray]
-    n: int = field(init=False)
-    pairs: np.ndarray = field(init=False, repr=False)
+    n: int
+    pairs: np.ndarray = field(repr=False)
 
-    def __post_init__(self, square) -> None:
-        if isinstance(square, np.ndarray) and square.dtype.kind in "iuf":
-            d = square
-        else:
-            d = np.asarray(square, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ValueError(f"distance matrix must be square, got shape {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("distance matrix contains non-finite entries")
-        if np.any(np.diagonal(d) != 0.0):
-            raise ValueError("distance matrix diagonal must be zero")
-        if not np.array_equal(d, d.T):
-            raise ValueError("distance matrix must be symmetric")
-        # the diagonal is zero, so exactly its n entries may be <= 0
-        if np.count_nonzero(d <= 0.0) != d.shape[0]:
-            raise ValueError("off-diagonal distances must be positive")
-        # upper_pairs copies, so the caller's matrix is not kept
-        self._keep(d.shape[0], upper_pairs(d))
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: np.ndarray) -> DistanceMatrix:
-        """The distances of n vertices from their pair vector, in the pair
-        order of upper_pairs, as apsp builds it. Only the vector is checked:
-        it holds C(n, 2) finite, positive distances. It is kept without a
-        copy when it already has the kept dtype."""
-        pairs = np.asarray(pairs)
+    def __post_init__(self) -> None:
+        n, pairs = self.n, np.asarray(self.pairs)
         if n < 0 or pairs.shape != (n * (n - 1) // 2,):
             raise ValueError(f"{n} vertices need {n * (n - 1) // 2} pairs, got shape {pairs.shape}")
         # min and max reductions make no pair-length temporary, and NaN
         # propagates through both
         low, high = pairs.min(initial=1), pairs.max(initial=1)
         if not (np.isfinite(low) and np.isfinite(high)):
-            raise ValueError("pair vector contains non-finite entries")
+            raise ValueError("distances contain non-finite entries")
         if low <= 0:
-            raise ValueError("pair distances must be positive")
-        self = object.__new__(cls)
-        self._keep(n, pairs)
-        return self
-
-    def _keep(self, n: int, pairs: np.ndarray) -> None:
-        dtype = np.min_scalar_type(pairs.max(initial=0)) if pairs.dtype.kind in "iu" else float
+            raise ValueError("off-diagonal distances must be positive")
+        dtype = np.min_scalar_type(high) if pairs.dtype.kind in "iu" else float
         # a read-only view, so the caller's own array keeps its flags
         pairs = pairs.astype(dtype, copy=False).view()
         pairs.setflags(write=False)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", pairs)
+
+    @classmethod
+    def from_square(cls, m) -> DistanceMatrix:
+        """The distances in a symmetric n x n matrix with a zero diagonal,
+        checked in its own dtype: the shape, the pairs i < j through the
+        constructor, then the diagonal and the symmetry."""
+        if not (isinstance(m, np.ndarray) and m.dtype.kind in "iuf"):
+            m = np.asarray(m, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"distance matrix must be square, got shape {m.shape}")
+        # upper_pairs copies, so the caller's matrix is not kept
+        distances = cls(m.shape[0], upper_pairs(m))
+        if np.any(np.diagonal(m) != 0):
+            raise ValueError("distance matrix diagonal must be zero")
+        if not np.array_equal(m, m.T):
+            raise ValueError("distance matrix must be symmetric")
+        return distances
 
     @property
     def d(self) -> np.ndarray:
@@ -338,7 +324,9 @@ def connected_components(graph: Graph) -> list[list[int]]:
     label of each neighbourhood in Graph.neighbours, lowers each label to
     the smallest its vertices saw (Shiloach-Vishkin hooking) and gives each
     vertex its label's label (a pointer jump), until no label changes: a
-    randomly numbered 20,000-vertex path takes 13 rounds.
+    randomly numbered 20,000-vertex path takes 13 rounds. Its arrays are
+    sized by vertex_count, so a parsed graph with sparse ids goes through
+    largest_connected_component first.
     """
     nbr, starts = graph.neighbours
     label = np.arange(graph.vertex_count)
@@ -442,14 +430,13 @@ def apsp(graph: Graph) -> DistanceMatrix:
     """All-pairs shortest-path hop counts, one block of 64 sources at a time.
 
     Each block of _level_blocks writes its sources' upper rows (the pairs
-    i < j) into one pair vector of C(V, 2) levels, which becomes the
-    DistanceMatrix through DistanceMatrix.from_pairs: no V x V array is
-    built. The first block fixes the vector's type, the smallest unsigned
-    one that holds twice vertex 0's eccentricity (a bound on the diameter,
-    as d(u, v) <= d(u, 0) + d(0, v)), capped at V - 1; from_pairs narrows it
-    once to the smallest type that holds the diameter (1 B per pair up to
-    255, so 2 MB at V = 2000). Besides the vector, apsp holds one block of
-    _level_blocks at a time.
+    i < j) into one pair vector of C(V, 2) levels, which becomes
+    DistanceMatrix(V, pairs): no V x V array is built. The first block fixes
+    the vector's type, the smallest unsigned one that holds twice vertex 0's
+    eccentricity (a bound on the diameter, as d(u, v) <= d(u, 0) + d(0, v)),
+    capped at V - 1; the constructor narrows it once to the smallest type
+    that holds the diameter (1 B per pair up to 255, so 2 MB at V = 2000).
+    Besides the vector, apsp holds one block of _level_blocks at a time.
 
     Raises DisconnectedGraphError naming vertex 0 and the smallest vertex
     it cannot reach if the graph is not connected.
@@ -466,4 +453,4 @@ def apsp(graph: Graph) -> DistanceMatrix:
         for i, row in enumerate(levels, first):
             pairs[filled : filled + n - 1 - i] = row[i + 1 :]
             filled += n - 1 - i
-    return DistanceMatrix.from_pairs(n, pairs)
+    return DistanceMatrix(n, pairs)

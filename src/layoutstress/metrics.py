@@ -148,6 +148,14 @@ def _pair_vectors(e: LayoutDistances, d: DistanceMatrix) -> tuple[np.ndarray, np
     return e.pairs, d.pairs
 
 
+def _relative_square_sum(r: np.ndarray, dv: np.ndarray) -> float:
+    """Sum of (r / d)^2 over the pairs, dividing and squaring the float64
+    difference vector r in place: the tail of ns, kks and scs."""
+    r /= dv
+    r *= r
+    return float(np.sum(r))
+
+
 def raw_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
     """Unweighted sum of squared differences between e_ij and d_ij."""
     ev, dv = _pair_vectors(e, d)
@@ -181,18 +189,13 @@ def kk_stress(
     factor = l0 / float(dv.max())
     r = factor * dv
     np.subtract(ev, r, out=r)
-    r /= dv
-    r *= r
-    return float(np.sum(r))
+    return _relative_square_sum(r, dv)
 
 
 def normalized_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
     """Squared differences weighted by d^-2, balancing short and long pairs."""
     ev, dv = _pair_vectors(e, d)
-    r = ev - dv
-    r /= dv
-    r *= r
-    return float(np.sum(r))
+    return _relative_square_sum(ev - dv, dv)
 
 
 def ns_quadratic(e: LayoutDistances, d: DistanceMatrix) -> QuadraticStressForm:
@@ -251,9 +254,7 @@ def shepard_constant_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
     beta = float(dv.max()) / max_e
     r = beta * ev
     r -= dv
-    r /= dv
-    r *= r
-    return float(np.sum(r))
+    return _relative_square_sum(r, dv)
 
 
 def distance_ratio_stress(

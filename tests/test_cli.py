@@ -314,6 +314,12 @@ class TestBench:
         assert len(out.read_text().strip().splitlines()) == 3
 
 
+    def test_negative_seed_names_the_seed(self, capsys):
+        argv = ["bench", "--sizes", "8,16", "--metrics", "ns", "--reps", "3", "--seed", "-1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "input error: seed must be >= 0, got -1\n"
+
+
 class TestExperimentCommand:
     CONFIG = {"corpus": {"graphs": 4, "n_min": 12, "n_max": 20, "seed": 19}, "optimizer_iterations": 1}
 
@@ -729,3 +735,20 @@ class TestUsageAndEnv:
         metrics = report["layouts"]["lay"]["metrics"]
         assert set(metrics) == {"rs", "kks", "ns", "sns", "sgs", "scs", "drs", "nms"}
         assert metrics["sgs"]["value"] > 0.9
+
+
+@pytest.mark.parametrize("command", ["compute", "curve"])
+@pytest.mark.parametrize("step", ["layoutstress.cli.apsp", "layoutstress.metrics.pairwise_distances"],
+                         ids=["apsp", "drawing"])
+def test_out_of_memory_names_the_graph(p3_files, monkeypatch, capsys, command, step):
+    """A graph whose distances do not fit ends in exit 2 and one line naming
+    the graph file and its vertex count; the step raises, nothing is allocated."""
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 1.68 GiB")
+
+    monkeypatch.setattr(step, out_of_memory)
+    graph, perfect, _ = p3_files
+    argv = [command, str(graph), str(perfect), "--metrics" if command == "compute" else "--metric", "ns"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: {graph}: not enough memory for the distances of 3 vertices\n"

@@ -99,7 +99,7 @@ class TestDistanceMatrix:
         ranks = np.minimum(np.random.default_rng(0).permutation(i.size), distinct - 1)
         m = np.zeros((n, n))
         m[i, j] = m[j, i] = 0.5 * ranks + 1.0
-        d = DistanceMatrix(m)
+        d = DistanceMatrix.from_square(m)
         assert d.pair_codes.dtype == dtype
         assert d.pair_codes.tolist() == ranks.tolist()
 
@@ -108,7 +108,7 @@ class TestDistanceMatrix:
         i, j = np.triu_indices(n, 1)
         m = np.zeros((n, n), dtype=np.int64)
         m[i, j] = m[j, i] = np.array([1, 3, 7])[np.arange(i.size) % 3]
-        levels, floats = DistanceMatrix(m), DistanceMatrix(m.astype(float))
+        levels, floats = DistanceMatrix.from_square(m), DistanceMatrix.from_square(m.astype(float))
         assert levels.pair_codes is levels.pairs and levels.pairs.dtype == np.uint8
         assert floats.pair_codes.tolist() == np.searchsorted([1, 3, 7], m[i, j]).tolist()
         for layout in (random_layout(n, 0), circle_layout(n)):
@@ -121,7 +121,7 @@ class TestDistanceMatrix:
     )
     def test_integer_distances_from_n_up_are_sorted(self, dtype, kept):
         # levels at or above n are coded by the sort
-        d = DistanceMatrix(_p3_square((0, 2, 9), (2, 0, 9)).astype(dtype))
+        d = DistanceMatrix.from_square(_p3_square((0, 2, 9), (2, 0, 9)).astype(dtype))
         assert d.pairs.tolist() == [1, 9, 1] and d.pairs.dtype == kept
         assert d.pair_codes is not d.pairs
         assert d.pair_codes.tolist() == [0, 1, 0]
@@ -135,7 +135,7 @@ class TestDistanceMatrix:
         m = np.sqrt(((positions[:, None, :] - positions[None, :, :]) ** 2).sum(-1))
         if kind == "rounded":
             m = np.where(np.eye(n, dtype=bool), 0.0, np.round(m, 1) + 0.05)
-        d = DistanceMatrix(m)
+        d = DistanceMatrix.from_square(m)
         assert d.pairs.dtype == np.float64
         # each pair's index in the sorted distinct values
         index = {value: k for k, value in enumerate(sorted(set(d.pairs.tolist())))}
@@ -159,24 +159,24 @@ class TestDistanceMatrix:
         assert np.array_equal(d.d, floyd_warshall(g))
         with pytest.raises(ValueError, match="read-only"):
             d.d[0, 1] = 9.0
-        assert np.array_equal(DistanceMatrix(d.d).pairs, d.pairs)
+        assert np.array_equal(DistanceMatrix.from_square(d.d).pairs, d.pairs)
 
     def test_does_not_alias_the_input(self):
         m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-        d = DistanceMatrix(m)
+        d = DistanceMatrix.from_square(m)
         m[0, 1] = m[1, 0] = 5.0
         assert d.pairs.tolist() == [1.0, 2.0, 1.0]
 
     @pytest.mark.parametrize(
         "cls, m, message",
         [
-            (DistanceMatrix, _p3_square((1, 2, 0.0), (2, 1, 0.0)), "off-diagonal distances must be positive"),
-            (DistanceMatrix, _p3_square((1, 2, -1.0), (2, 1, -1.0)), "off-diagonal distances must be positive"),
-            (DistanceMatrix, _p3_square((1, 2, -1), (2, 1, -1)).astype(np.int64), "off-diagonal distances must be positive"),
-            (DistanceMatrix, np.zeros((2, 3)), "must be square"),
-            (DistanceMatrix, _p3_square((0, 1, np.nan), (1, 0, np.nan)), "non-finite"),
-            (DistanceMatrix, _p3_square((1, 1, 1.0)), "diagonal must be zero"),
-            (DistanceMatrix, _p3_square((0, 1, 3.0)), "must be symmetric"),
+            (DistanceMatrix.from_square, _p3_square((1, 2, 0.0), (2, 1, 0.0)), "off-diagonal distances must be positive"),
+            (DistanceMatrix.from_square, _p3_square((1, 2, -1.0), (2, 1, -1.0)), "off-diagonal distances must be positive"),
+            (DistanceMatrix.from_square, _p3_square((1, 2, -1), (2, 1, -1)).astype(np.int64), "off-diagonal distances must be positive"),
+            (DistanceMatrix.from_square, np.zeros((2, 3)), "must be square"),
+            (DistanceMatrix.from_square, _p3_square((0, 1, np.nan), (1, 0, np.nan)), "non-finite"),
+            (DistanceMatrix.from_square, _p3_square((1, 1, 1.0)), "diagonal must be zero"),
+            (DistanceMatrix.from_square, _p3_square((0, 1, 3.0)), "must be symmetric"),
             (LayoutDistances, np.zeros((2, 3)), "must be square"),
             (LayoutDistances, _p3_square((0, 1, np.inf), (1, 0, np.inf)), "non-finite"),
             (LayoutDistances, _p3_square((1, 1, 1.0)), "nonnegative with zero diagonal"),
@@ -194,6 +194,18 @@ class TestDistanceMatrix:
             cls(m)
 
     @pytest.mark.parametrize(
+        "edits, message",
+        [(((1, 1, np.nan),), "diagonal must be zero"), (((2, 0, np.nan),), "must be symmetric")],
+        ids=["diagonal", "below"],
+    )
+    def test_nan_outside_the_upper_pairs_is_refused(self, edits, message):
+        """The pair checks scan only the entries i < j; from_square's diagonal
+        and symmetry checks refuse a NaN anywhere else, in one line."""
+        with pytest.raises(ValueError, match=message) as excinfo:
+            DistanceMatrix.from_square(_p3_square(*edits))
+        assert "\n" not in str(excinfo.value)
+
+    @pytest.mark.parametrize(
         "n, pairs, message",
         [
             (3, np.array([1, 2], np.uint8), "3 vertices need 3 pairs, got shape"),
@@ -205,16 +217,16 @@ class TestDistanceMatrix:
     )
     def test_from_pairs_refuses_a_malformed_vector(self, n, pairs, message):
         with pytest.raises(ValueError, match=message) as excinfo:
-            DistanceMatrix.from_pairs(n, pairs)
+            DistanceMatrix(n, pairs)
         assert "\n" not in str(excinfo.value)
 
     @pytest.mark.parametrize("dtype", [np.uint16, np.int64, np.float32])
     def test_from_pairs_keeps_the_square_paths_dtype(self, dtype):
         square = _p3_square().astype(dtype)
         pairs = upper_pairs(square).copy()
-        d = DistanceMatrix.from_pairs(3, pairs)
-        assert d.pairs.dtype == DistanceMatrix(square).pairs.dtype
-        assert np.array_equal(d.pairs, DistanceMatrix(square).pairs)
+        d = DistanceMatrix(3, pairs)
+        assert d.pairs.dtype == DistanceMatrix.from_square(square).pairs.dtype
+        assert np.array_equal(d.pairs, DistanceMatrix.from_square(square).pairs)
         assert not d.pairs.flags.writeable and pairs.flags.writeable
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64, np.float32])
@@ -229,13 +241,13 @@ class TestDistanceMatrix:
     )
     def test_integer_and_float_squares_checked_in_their_own_dtype(self, dtype, edits, message):
         with pytest.raises(ValueError, match=message):
-            DistanceMatrix(_p3_square(*edits).astype(dtype))
+            DistanceMatrix.from_square(_p3_square(*edits).astype(dtype))
 
     def test_apsp_pairs_are_read_only_uint8(self):
         g = grid_graph(4, 5)
         d = apsp(g)
         assert d.pairs.dtype == np.uint8 and not d.pairs.flags.writeable
-        assert np.array_equal(d.pairs, DistanceMatrix(floyd_warshall(g)).pairs)
+        assert np.array_equal(d.pairs, DistanceMatrix.from_square(floyd_warshall(g)).pairs)
 
     @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
     def test_apsp_pairs_take_the_smallest_unsigned_dtype(self, n, dtype):
@@ -605,7 +617,7 @@ class TestApsp:
         # three full blocks of 64 sources, and one source over; uint16
         # levels; twice vertex 0's eccentricity (398) above uint8 while the
         # diameter (199) is not
-        want = DistanceMatrix(floyd_warshall(g).astype(np.int64)).pairs
+        want = DistanceMatrix.from_square(floyd_warshall(g).astype(np.int64)).pairs
         got = apsp(g).pairs
         assert got.dtype == want.dtype and np.array_equal(got, want)
 

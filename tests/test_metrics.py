@@ -68,7 +68,7 @@ def test_pair_vectors_match_triu_indices(n):
     e = pairwise_distances(random_layout(n, n))
     # distinct distances, so a pair out of order cannot go unseen
     upper = np.triu(rng.uniform(1.0, 5.0, size=(n, n)), 1)
-    d = DistanceMatrix(upper + upper.T)
+    d = DistanceMatrix.from_square(upper + upper.T)
     iu = np.triu_indices(n, 1)
     ev, dv = _pair_vectors(e, d)
     assert np.array_equal(ev, e.e[iu]) and np.array_equal(dv, d.d[iu])
@@ -566,7 +566,7 @@ class TestSharedRankTables:
     @pytest.mark.parametrize("n, dtype", [(40, np.uint16), (400, np.uint32)])
     def test_real_distances(self, n, dtype):
         # every distance between random points is distinct: 780 and 79,800
-        d = DistanceMatrix(pairwise_distances(random_layout(n, 2)).e)
+        d = DistanceMatrix.from_square(pairwise_distances(random_layout(n, 2)).e)
         assert d.pair_codes.dtype == dtype
         assert int(d.pair_codes.max()) + 1 == n * (n - 1) // 2
         for layout in (random_layout(n, 3), circle_layout(n)):
@@ -603,7 +603,7 @@ class TestSharedRankTables:
         assert _tied_groups(codes) == expected
 
     def test_all_distinct_distances_sort_no_group(self):
-        d = DistanceMatrix(pairwise_distances(random_layout(200, 2)).e)
+        d = DistanceMatrix.from_square(pairwise_distances(random_layout(200, 2)).e)
         assert _tied_groups(d.pair_codes) == []
         e = pairwise_distances(circle_layout(200))
         assert nonmetric_stress(e, d) == _nms_by_float_sort(e.pairs, d.pairs)
@@ -639,7 +639,7 @@ def test_integer_levels_score_as_floats(graph, dtype, drawing):
     integer levels exactly as the same distances in float64; drs where its
     guard lets it."""
     levels = apsp(graph)
-    floats = DistanceMatrix(levels.d)
+    floats = DistanceMatrix.from_square(levels.d)
     assert levels.pairs.dtype == dtype and floats.pairs.dtype == np.float64
     n = graph.vertex_count
     layout = random_layout(n, 7) if drawing == "random" else circle_layout(n)
