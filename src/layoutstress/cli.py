@@ -25,7 +25,7 @@ import numpy as np
 
 from . import experiment as exp
 from .errors import SizeGuardError
-from .graph import Graph, apsp, largest_connected_component, read_graph_file
+from .graph import DistanceMatrix, Graph, apsp, largest_connected_component, read_graph_file
 from .layout import Layout, csv_text, read_layout_csv
 from .metrics import (
     DRS_MAX_VERTICES,
@@ -140,6 +140,14 @@ def _memory_for(path_text: str, graph: Graph):
         ) from None
 
 
+def _distances(path_text: str, graph: Graph) -> DistanceMatrix:
+    """apsp(graph); its refusal (fewer than 2 vertices) names the graph file."""
+    try:
+        return apsp(graph)
+    except ValueError as exc:
+        raise ValueError(f"{path_text}: {exc}") from exc
+
+
 def _load_layout(path_text: str, graph: Graph) -> Layout:
     path = Path(path_text)
     try:
@@ -174,7 +182,7 @@ def _cmd_compute(args) -> int:
 
     report_layouts = {}
     with _memory_for(args.graph, graph):
-        d = apsp(graph)
+        d = _distances(args.graph, graph)
         for name, (layout_path, layout) in layouts.items():
             try:
                 scored = score_layout(layout, d, metric_ids, kk_params=kk_params, force=args.force)
@@ -220,7 +228,7 @@ def _cmd_curve(args) -> int:
     alphas = _parse_alpha_grid(args.alpha_grid)
     kk_params = KKParams(args.l0) if args.l0 is not None else None
     with _memory_for(args.graph, graph):
-        d = apsp(graph)
+        d = _distances(args.graph, graph)
         try:
             points = stress_curve(
                 layout, d, metric_ids[0], alphas, kk_params=kk_params, force=args.force

@@ -362,7 +362,8 @@ def runtime_benchmark(
     their summed time reaches BENCH_SAMPLE_FLOOR_SECONDS, and the sample is
     their mean, so sub-millisecond calls are not timed singly. An empty size
     list and sizes below MIN_CORPUS_VERTICES are refused, and drs above
-    BENCH_DRS_MAX_VERTICES unless force is set.
+    BENCH_DRS_MAX_VERTICES unless force is set. A size whose distances do
+    not fit in memory is refused as a ValueError that names it.
     """
     sizes = [int(n) for n in sizes]
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
@@ -382,9 +383,12 @@ def runtime_benchmark(
     rng = np.random.default_rng(seed)
     cases = []
     for n in sizes:
-        d = apsp(bench_graph(n, rng))
-        layout = random_layout(n, int(rng.integers(2**63)))
-        score_layout(layout, d, metric_ids, force=True)  # warm-up, discarded
+        try:
+            d = apsp(bench_graph(n, rng))
+            layout = random_layout(n, int(rng.integers(2**63)))
+            score_layout(layout, d, metric_ids, force=True)  # warm-up, discarded
+        except MemoryError:
+            raise ValueError(f"not enough memory for the distances of {n} vertices") from None
         cases.extend((n, metric_id, layout, d, []) for metric_id in metric_ids)
     # one sample per case in each round, so a slow stretch of the machine
     # falls on every size alike rather than on one size's samples

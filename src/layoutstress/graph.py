@@ -6,7 +6,7 @@ per unordered vertex pair, in the pair order of upper_pairs. apsp writes
 them one block of 64 breadth-first sources at a time: it holds the C(V, 2)
 pair vector and, per block, the k x V levels of its k sources, never a
 V x V array. A DistanceMatrix is the record of V and that pair vector,
-checked once when it is built.
+checked once; keep says what it, Layout and LayoutDistances hold.
 """
 
 from __future__ import annotations
@@ -80,11 +80,21 @@ class Graph:
         return nbr, starts
 
 
+def keep(a: np.ndarray, dtype) -> np.ndarray:
+    """a if it is read-only, owns its data and has the dtype, else a read-only copy."""
+    if a.dtype != dtype or a.flags.writeable or a.base is not None:
+        a = a.astype(dtype)
+        a.setflags(write=False)
+    return a
+
+
 def upper_pairs(m: np.ndarray) -> np.ndarray:
     """Read-only vector of m[i, j] over the pairs i<j in row-major order.
 
-    This is the one place the pair order of every metric is defined. The
-    n x n mask is built per call, as a cached one would outlive the matrix.
+    This is the pair order of every metric; apsp writes the same one row by
+    row, and TestApsp::test_pairs_equal_floyd_warshall_across_blocks and
+    test_metrics.py::test_pair_vectors_match_triu_indices pin the two equal.
+    The n x n mask is built per call, as a cached one would outlive m.
     """
     pairs = m[~np.tri(m.shape[0], dtype=bool)]
     pairs.setflags(write=False)
@@ -98,8 +108,8 @@ class DistanceMatrix:
     checks it once (C(n, 2) finite, positive entries). Integer pairs, such as
     apsp's hop levels, are kept in the smallest unsigned dtype that holds the
     largest one (1 B per pair up to 255, so 2 MB at n = 2000), float pairs as
-    float64 (8 B per pair), as a read-only view, without a copy when the
-    dtype already fits. from_square builds one from an n x n matrix. The
+    float64 (8 B per pair), by the rule of keep: apsp's read-only vector
+    without a copy. from_square builds one from an n x n matrix. The
     metrics read only pairs and the rank table pair_codes; d rebuilds the
     square matrix for the callers that want one.
     """
@@ -119,10 +129,7 @@ class DistanceMatrix:
         if low <= 0:
             raise ValueError("off-diagonal distances must be positive")
         dtype = np.min_scalar_type(high) if pairs.dtype.kind in "iu" else float
-        # a read-only view, so the caller's own array keeps its flags
-        pairs = pairs.astype(dtype, copy=False).view()
-        pairs.setflags(write=False)
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", keep(pairs, dtype))
 
     @classmethod
     def from_square(cls, m) -> DistanceMatrix:
@@ -434,9 +441,9 @@ def apsp(graph: Graph) -> DistanceMatrix:
     DistanceMatrix(V, pairs): no V x V array is built. The first block fixes
     the vector's type, the smallest unsigned one that holds twice vertex 0's
     eccentricity (a bound on the diameter, as d(u, v) <= d(u, 0) + d(0, v)),
-    capped at V - 1; the constructor narrows it once to the smallest type
-    that holds the diameter (1 B per pair up to 255, so 2 MB at V = 2000).
-    Besides the vector, apsp holds one block of _level_blocks at a time.
+    capped at V - 1, and handed over read-only: the constructor keeps it, or
+    narrows it in one copy to the smallest type that holds the diameter (1 B
+    per pair up to 255, 2 MB at V = 2000). Besides it apsp holds one block.
 
     Raises DisconnectedGraphError naming vertex 0 and the smallest vertex
     it cannot reach if the graph is not connected.
@@ -453,4 +460,5 @@ def apsp(graph: Graph) -> DistanceMatrix:
         for i, row in enumerate(levels, first):
             pairs[filled : filled + n - 1 - i] = row[i + 1 :]
             filled += n - 1 - i
+    pairs.setflags(write=False)
     return DistanceMatrix(n, pairs)

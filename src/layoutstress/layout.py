@@ -17,12 +17,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateLayoutError, ParseError
-from .graph import DistanceMatrix, upper_pairs
+from .graph import DistanceMatrix, keep, upper_pairs
 
 
 @dataclass(frozen=True, eq=False)
 class Layout:
-    """Per-vertex 2D coordinates; row i is the position of vertex i."""
+    """Per-vertex 2D coordinates (row i is vertex i), kept by graph.keep."""
 
     positions: np.ndarray
 
@@ -32,9 +32,7 @@ class Layout:
             raise ValueError(f"positions must have shape (n, 2), got {p.shape}")
         if not np.all(np.isfinite(p)):
             raise ValueError("layout contains non-finite coordinates")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "positions", p)
+        object.__setattr__(self, "positions", keep(p, float))
 
     @property
     def n(self) -> int:
@@ -43,7 +41,7 @@ class Layout:
 
 @dataclass(frozen=True, eq=False)
 class LayoutDistances:
-    """Symmetric matrix of pairwise Euclidean distances of a drawing."""
+    """Symmetric matrix of a drawing's pairwise Euclidean distances, kept by graph.keep."""
 
     e: np.ndarray
 
@@ -51,17 +49,14 @@ class LayoutDistances:
         e = np.asarray(self.e, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {e.shape}")
-        if not np.all(np.isfinite(e)):
+        low, high = e.min(initial=0), e.max(initial=0)
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("layout distances contain non-finite entries")
-        if np.any(np.diagonal(e) != 0.0) or np.any(e < 0.0):
+        if low < 0 or np.any(np.diagonal(e) != 0.0):
             raise ValueError("layout distances must be nonnegative with zero diagonal")
         if not np.array_equal(e, e.T):
             raise ValueError("layout distances must be symmetric")
-        # a read-only array that owns its data is kept as it is; any other is copied
-        if e.flags.writeable or e.base is not None:
-            e = e.copy()
-            e.setflags(write=False)
-        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "e", keep(e, float))
 
     @property
     def n(self) -> int:

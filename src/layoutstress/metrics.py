@@ -440,13 +440,11 @@ def stress_curve(
     For rs and ns each point is cross-checked against the closed-form
     quadratic; a mismatch beyond 1e-9 relative raises RuntimeError. For kks
     without explicit params, l0 is rederived from each scaled drawing.
+    scale_layout refuses a factor that is not a positive finite real.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one scale factor")
-    for a in alphas:
-        if not (math.isfinite(a) and a > 0.0):
-            raise ValueError(f"scale factors must be positive finite reals, got {a}")
 
     quad = None
     if metric_id in ("rs", "ns"):

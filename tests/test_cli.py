@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from layoutstress import Layout, circle_layout, pairwise_distances, random_layout, write_layout_csv
+from layoutstress import experiment
 from layoutstress.cli import main
 from layoutstress.experiment import BENCH_DRS_MAX_VERTICES
 
@@ -318,6 +319,20 @@ class TestBench:
         argv = ["bench", "--sizes", "8,16", "--metrics", "ns", "--reps", "3", "--seed", "-1"]
         assert main(argv) == 2
         assert capsys.readouterr().err == "input error: seed must be >= 0, got -1\n"
+
+    def test_out_of_memory_names_the_size(self, monkeypatch, capsys):
+        # apsp raises for the larger size; nothing is allocated
+        real_apsp = experiment.apsp
+
+        def apsp(graph):
+            if graph.vertex_count > 8:
+                raise MemoryError("Unable to allocate 1.68 GiB")
+            return real_apsp(graph)
+
+        monkeypatch.setattr(experiment, "apsp", apsp)
+        assert main(["bench", "--sizes", "8,16", "--metrics", "ns", "--reps", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: not enough memory for the distances of 16 vertices\n"
 
 
 class TestExperimentCommand:
@@ -752,3 +767,15 @@ def test_out_of_memory_names_the_graph(p3_files, monkeypatch, capsys, command, s
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"input error: {graph}: not enough memory for the distances of 3 vertices\n"
+
+
+@pytest.mark.parametrize("command", ["compute", "curve"])
+def test_graph_too_small_for_shortest_paths_names_the_file(tmp_path, capsys, command):
+    graph = tmp_path / "one.txt"
+    graph.write_text("0 0\n")
+    layout = tmp_path / "one.csv"
+    layout.write_text("id,x,y\n0,0.0,0.0\n")
+    argv = [command, str(graph), str(layout), "--metrics" if command == "compute" else "--metric", "ns"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: {graph}: shortest paths need at least 2 vertices, got 1\n"

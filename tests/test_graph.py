@@ -257,6 +257,47 @@ class TestDistanceMatrix:
         assert d.pair_codes is d.pairs
 
 
+class TestDistanceMatrixStorage:
+    """A read-only vector that owns its data and has the kept dtype is kept;
+    any other is copied, so no later write of the caller's reaches it."""
+
+    def test_read_only_owner_kept(self):
+        p = np.array([1, 2, 1], dtype=np.uint8)
+        p.setflags(write=False)
+        assert DistanceMatrix(3, p).pairs is p
+
+    def test_writeable_vector_copied(self):
+        p = np.array([1.0, 2.0, 1.0])
+        d = DistanceMatrix(3, p)
+        assert d.pairs is not p
+        assert not d.pairs.flags.writeable
+        p[1] = 0.0
+        assert d.pairs.tolist() == [1.0, 2.0, 1.0]
+
+    def test_read_only_view_copied(self):
+        base = np.array([1.0, 2.0, 1.0, 5.0])
+        view = base[:3]
+        view.setflags(write=False)
+        d = DistanceMatrix(3, view)
+        assert d.pairs is not view
+        assert d.pairs.base is None
+        base[1] = -4.0
+        assert d.pairs.tolist() == [1.0, 2.0, 1.0]
+
+    def test_narrowed_vector_copied_once(self):
+        # int64 levels of 800 vertices narrow to uint8: one copy holds
+        # C(800, 2) bytes, two would hold twice that at once
+        pairs = np.ones(800 * 799 // 2, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            d = DistanceMatrix(800, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.pairs.dtype == np.uint8 and not d.pairs.flags.writeable
+        assert peak < 2 * d.pairs.nbytes, peak
+
+
 class TestReadGraphFile:
     def test_matrix_market_by_suffix(self, tmp_path):
         path = tmp_path / "g.MM"
@@ -634,6 +675,18 @@ class TestApsp:
             tracemalloc.stop()
         assert d.pairs.dtype == np.uint8
         assert peak < 4 * (n * (n - 1) // 2), peak
+
+    def test_keeps_its_pair_vector_without_a_copy(self):
+        # the vector goes to DistanceMatrix read-only, so it is kept as it
+        # is; a copy would hold two vectors at once
+        g = bench_graph(2000, np.random.default_rng(97))
+        tracemalloc.start()
+        try:
+            d = apsp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * d.pairs.nbytes, peak
 
     def test_isolated_vertex_zero(self):
         _assert_disconnected(Graph.from_edges(4, [(1, 2), (2, 3)]), 1)

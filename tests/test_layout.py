@@ -126,6 +126,33 @@ class TestLayoutDistancesStorage:
         assert distances.e.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
+class TestLayoutStorage:
+    """Positions are kept by the rule of TestLayoutDistancesStorage."""
+
+    def test_read_only_owner_kept(self):
+        p = np.array([[0.0, 0.0], [1.0, 2.0]])
+        p.setflags(write=False)
+        assert Layout(p).positions is p
+
+    def test_writeable_array_copied(self):
+        p = np.array([[0.0, 0.0], [1.0, 2.0]])
+        layout = Layout(p)
+        assert layout.positions is not p
+        assert not layout.positions.flags.writeable
+        p[1, 0] = 5.0
+        assert layout.positions.tolist() == [[0.0, 0.0], [1.0, 2.0]]
+
+    def test_read_only_view_copied(self):
+        base = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
+        view = base[:2]
+        view.setflags(write=False)
+        layout = Layout(view)
+        assert layout.positions is not view
+        assert layout.positions.base is None
+        base[1, 0] = 5.0
+        assert layout.positions.tolist() == [[0.0, 0.0], [1.0, 2.0]]
+
+
 class TestScaling:
     def test_identity(self):
         lay = Layout(np.array([[0.5, 0.5], [1.0, 2.0]]))
