@@ -1,21 +1,23 @@
 """Stress-based layout quality metrics and closed-form scale analysis.
 
 Eight metrics over a drawing's pairwise distances e_ij and graph-theoretic
-distances d_ij, identified by stable string ids:
+distances d_ij; METRICS holds one record per stable string id, in report
+order, with its scale class, its response to a uniform scaling by alpha:
 
-  rs   raw stress                 sum (e - d)^2               scale-sensitive
-  kks  Kamada-Kawai stress        sum d^-2 (e - L*d)^2        scale-sensitive
-  ns   normalized stress          sum d^-2 (e - d)^2          scale-sensitive
-  sns  scale-normalized stress    ns at its optimal scale     scale-invariant
-  sgs  Shepard goodness score     Spearman corr of e vs d     scale-invariant
-  scs  Shepard constant stress    ns with e rescaled by beta  scale-invariant
+  rs   raw stress                 sum (e - d)^2               quadratic
+  kks  Kamada-Kawai stress        sum d^-2 (e - L*d)^2        homogeneous
+  ns   normalized stress          sum d^-2 (e - d)^2          quadratic
+  sns  scale-normalized stress    ns at its optimal scale     invariant
+  sgs  Shepard goodness score     Spearman corr of e vs d     invariant
+  scs  Shepard constant stress    ns with e rescaled by beta  invariant
   drs  distance-ratio stress      sum over pair-pairs of
-                                  (e_ij/e_kl - d_ij/d_kl)^2   scale-invariant
+                                  (e_ij/e_kl - d_ij/d_kl)^2   invariant
   nms  non-metric stress          Kruskal stress-1 against
-                                  isotonic disparities        scale-invariant
+                                  isotonic disparities        invariant
 
-rs and ns are quadratic polynomials in a uniform scale factor alpha. A
-drawing's QuadraticStressForm owns the closed forms: the optimal scale
+kks is alpha^2 times its value while l0 comes from the drawing, and a
+quadratic in alpha with a fixed l0. A drawing's QuadraticStressForm, built
+by the records of rs, ns and sns, owns the closed forms: the optimal scale
 (alpha_min), the stress there (minimum, which is sns for the ns quadratic)
 and the scale at which two drawings' curves cross (crossing, alpha*).
 
@@ -45,6 +47,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -52,11 +55,6 @@ from .errors import DegenerateLayoutError, SizeGuardError
 from .graph import DistanceMatrix
 from .layout import Layout, LayoutDistances, pairwise_distances, scale_layout
 from .stats import isotonic_regression, rank_correlation_with_codes, ranks_from_order
-
-METRIC_IDS = ("rs", "kks", "ns", "sns", "sgs", "scs", "drs", "nms")
-
-#: metrics where a larger value means a better drawing
-HIGHER_IS_BETTER = frozenset({"sgs"})
 
 #: drs touches ~n^4/4 pair-of-pair terms; refuse above this without force
 DRS_MAX_VERTICES = 64
@@ -211,10 +209,6 @@ def ns_quadratic(e: LayoutDistances, d: DistanceMatrix) -> QuadraticStressForm:
     return QuadraticStressForm(a=float(np.sum(ratio)), b=b, c=n * (n - 1) / 2.0)
 
 
-#: the quadratic in alpha behind each metric with an optimal scale
-SCALE_QUADRATICS = {"rs": raw_stress_quadratic, "ns": ns_quadratic, "sns": ns_quadratic}
-
-
 def scale_normalized_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
     """Normalized stress at its closed-form optimal scale (scale-invariant).
 
@@ -330,9 +324,35 @@ def nonmetric_stress(e: LayoutDistances, d: DistanceMatrix) -> float:
     return _nonmetric_from_pairs(ev, d.pair_codes)
 
 
+@dataclass(frozen=True)
+class Metric:
+    """One metric: its kernel, scale class ("quadratic", "homogeneous" or
+    "invariant"), quadratic in alpha if any, and whether higher is better."""
+
+    kernel: Callable[..., float]
+    scale: str
+    quadratic: Callable[[LayoutDistances, DistanceMatrix], QuadraticStressForm] | None = None
+    higher_is_better: bool = False
+
+
+#: the paper's taxonomy, in report order
+METRICS = {
+    "rs": Metric(raw_stress, "quadratic", raw_stress_quadratic),
+    "kks": Metric(kk_stress, "homogeneous"),
+    "ns": Metric(normalized_stress, "quadratic", ns_quadratic),
+    "sns": Metric(scale_normalized_stress, "invariant", ns_quadratic),
+    "sgs": Metric(shepard_goodness, "invariant", higher_is_better=True),
+    "scs": Metric(shepard_constant_stress, "invariant"),
+    "drs": Metric(distance_ratio_stress, "invariant"),
+    "nms": Metric(nonmetric_stress, "invariant"),
+}
+METRIC_IDS = tuple(METRICS)
+HIGHER_IS_BETTER = frozenset(m for m, record in METRICS.items() if record.higher_is_better)
+
+
 def check_metric_ids(ids) -> tuple[str, ...]:
-    """The ids as given, as a tuple; ValueError when a bare string, empty or
-    one is unknown."""
+    """The ids as given, as a tuple; ValueError when a bare string, empty, or
+    one is unknown or repeated."""
     if isinstance(ids, str):
         raise ValueError(f"'metric_ids' must be a list of metric ids, got {ids!r}")
     ids = tuple(ids)
@@ -341,7 +361,14 @@ def check_metric_ids(ids) -> tuple[str, ...]:
     for metric_id in ids:
         if metric_id not in METRIC_IDS:
             raise ValueError(f"unknown metric id {metric_id!r} (known: {', '.join(METRIC_IDS)})")
+        if ids.count(metric_id) > 1:
+            raise ValueError(f"metric id {metric_id!r} is given more than once")
     return ids
+
+
+def _metric(metric_id: str) -> Metric:
+    """The record of metric_id; ValueError when the id is unknown."""
+    return METRICS[check_metric_ids((metric_id,))[0]]
 
 
 def compute_metric(
@@ -353,35 +380,22 @@ def compute_metric(
     force: bool = False,
 ) -> float:
     """Evaluate a metric by id on precomputed pairwise distances."""
-    check_metric_ids((metric_id,))
-    if metric_id == "rs":
-        return raw_stress(e, d)
-    if metric_id == "kks":
-        return kk_stress(e, d, kk_params)
-    if metric_id == "ns":
-        return normalized_stress(e, d)
-    if metric_id == "sns":
-        return scale_normalized_stress(e, d)
-    if metric_id == "sgs":
-        return shepard_goodness(e, d)
-    if metric_id == "scs":
-        return shepard_constant_stress(e, d)
-    if metric_id == "drs":
-        return distance_ratio_stress(e, d, force=force)
-    return nonmetric_stress(e, d)
+    kernel = _metric(metric_id).kernel
+    extra = {"kks": (kk_params,), "drs": (force,)}.get(metric_id, ())
+    return kernel(e, d, *extra)
 
 
 def metric_alpha_min(metric_id: str, e: LayoutDistances, d: DistanceMatrix) -> float | None:
-    """Optimal scale factor for metrics that have one, else None."""
-    quadratic = SCALE_QUADRATICS.get(metric_id)
+    """Optimal scale factor of a metric whose record has a quadratic, else None."""
+    quadratic = _metric(metric_id).quadratic
     return None if quadratic is None else quadratic(e, d).alpha_min
 
 
 @dataclass(frozen=True)
 class DrawingScores:
-    """One drawing's scores: per scored metric its value and the seconds
-    compute_metric took, the optimal scale of rs, ns and sns, the drawing's
-    maximum pairwise distance, and the metrics the drs size guard skipped."""
+    """One drawing's scores: per scored metric its value, the seconds
+    compute_metric took and, where its record has a quadratic, alpha_min;
+    the drawing's maximum pairwise distance; the metrics the drs size guard skipped."""
 
     scores: dict[str, float]
     alpha_min: dict[str, float]
@@ -437,18 +451,19 @@ def stress_curve(
 ) -> list[tuple[float, float]]:
     """Evaluate a metric on uniformly scaled copies of a drawing.
 
-    For rs and ns each point is cross-checked against the closed-form
+    Points of a "quadratic" metric are checked against its record's
     quadratic; a mismatch beyond 1e-9 relative raises RuntimeError. For kks
     without explicit params, l0 is rederived from each scaled drawing.
     scale_layout refuses a factor that is not a positive finite real.
     """
+    record = _metric(metric_id)
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one scale factor")
 
     quad = None
-    if metric_id in ("rs", "ns"):
-        quad = SCALE_QUADRATICS[metric_id](_drawing_pairs(layout), d)
+    if record.scale == "quadratic":
+        quad = record.quadratic(_drawing_pairs(layout), d)
 
     points: list[tuple[float, float]] = []
     for alpha in alphas:

@@ -83,6 +83,12 @@ class TestCompute:
         graph, perfect, _ = p3_files
         assert main(["compute", str(graph), str(perfect), "--metrics", "nope"]) == 1
 
+    def test_repeated_metric_exits_1(self, p3_files, capsys):
+        graph, perfect, _ = p3_files
+        assert main(["compute", str(graph), str(perfect), "--metrics", "ns,sns,ns"]) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: metric id 'ns' is given more than once\n"
+
     def test_duplicate_layout_stem_exits_2(self, p3_files, tmp_path, capsys):
         graph, perfect, doubled = p3_files
         (tmp_path / "a").mkdir()
@@ -304,6 +310,12 @@ class TestBench:
     def test_malformed_size_list_exits_1(self, capsys):
         assert main(["bench", "--sizes", "8,x", "--metrics", "ns"]) == 1
         assert capsys.readouterr().err == "usage error: malformed size list '8,x'\n"
+
+    def test_repeated_metric_exits_1(self, capsys):
+        assert main(["bench", "--sizes", "8,16", "--metrics", "ns,ns", "--reps", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: metric id 'ns' is given more than once\n"
 
     def test_drs_force_overrides(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -541,6 +553,12 @@ class TestExperimentConfigErrors:
         assert code == 2
         assert "'metrics' must be a list of metric ids" in err
         assert "'n'" not in err
+
+    def test_repeated_metric_names_the_config(self, tmp_path, capsys):
+        code, err = self.run_config(tmp_path, capsys, {"metrics": ["ns", "ns", "sns"]})
+        assert code == 2
+        assert str(tmp_path / "config.json") in err
+        assert "metric id 'ns' is given more than once" in err
 
     def test_every_trial_failing_carries_first_failure(self, tmp_path, capsys, monkeypatch):
         def failing(*args):

@@ -40,7 +40,7 @@ from layoutstress.experiment import (
 )
 from layoutstress import experiment as exp_mod
 from layoutstress import serialize_edge_list
-from layoutstress.metrics import HIGHER_IS_BETTER, DrawingScores
+from layoutstress.metrics import HIGHER_IS_BETTER, METRICS, DrawingScores
 
 from conftest import _is_connected, path_graph
 
@@ -124,6 +124,7 @@ class TestConfigChecks:
         [
             (ExperimentConfig, {"metric_ids": ("nope",)}, "'nope'"),
             (ExperimentConfig, {"metric_ids": "ns"}, "'metric_ids'"),
+            (ExperimentConfig, {"metric_ids": ("ns", "ns", "sns")}, "'ns' is given more than once"),
             (ExperimentConfig, {"scale_policy": "nope"}, "'scale_policy'"),
             (ExperimentConfig, {"optimizer_iterations": 2.7}, "'optimizer_iterations'"),
             (ExperimentConfig, {"optimizer_iterations": True}, "'optimizer_iterations'"),
@@ -136,7 +137,7 @@ class TestConfigChecks:
             (ExperimentConfig, {"corpus": {"graphs": 3}}, "'corpus'"),
             (ExperimentConfig, {"corpus_dir": 5}, "'corpus_dir'"),
         ],
-        ids=["unknown_metric", "metric_string", "scale_policy", "float_iterations",
+        ids=["unknown_metric", "metric_string", "repeated_metric", "scale_policy", "float_iterations",
              "bool_iterations", "zero_iterations", "negative_iterations", "string_drs_force",
              "string_graphs", "float_seed", "none_density", "dict_corpus", "int_corpus_dir"],
     )
@@ -465,6 +466,12 @@ class TestExperiment:
     def test_verdict_names_cover_expected_checks(self, small_result):
         names = {v.name for v in small_result.verdicts}
         assert {"sns-ground-truth", "rs-random-best", "corr-rs-sns", "sgs-random-low"} <= names
+        # the verdicts' metric tuples agree with the taxonomy
+        for name in names:
+            if name.endswith("-ground-truth"):
+                assert METRICS[name.removesuffix("-ground-truth")].scale == "invariant", name
+            if name.endswith("-random-best"):
+                assert METRICS[name.removesuffix("-random-best")].scale != "invariant", name
 
 
 def _verdict_inputs(truth, random_best, rare, rho, sgs_opt, sgs_rand):
