@@ -25,7 +25,7 @@ import numpy as np
 
 from . import experiment as exp
 from .errors import SizeGuardError
-from .graph import DistanceMatrix, Graph, apsp, largest_connected_component, read_graph_file
+from .graph import Graph, apsp, largest_connected_component, read_graph_file
 from .layout import Layout, csv_text, read_layout_csv
 from .metrics import (
     DRS_MAX_VERTICES,
@@ -128,37 +128,39 @@ def _load_graph(path_text: str) -> tuple[Graph, dict]:
     return component, info
 
 
+class _Named(ValueError):
+    """A refusal whose message already names its input."""
+
+
 @contextmanager
-def _memory_for(path_text: str, graph: Graph):
-    """Turn a MemoryError, from the graph's pair vector or a drawing's n x n
-    distances, into an input error naming the graph file and its size."""
+def _naming(path_text: str, graph: Graph | None = None):
+    """Name, as Path spells it, the input file that a refusal in the block
+    comes from: a ValueError or OSError is raised again with the file in
+    front, and, given the file's graph, a MemoryError as the line that the
+    graph's distances do not fit. An error that an inner _naming has named,
+    and a SizeGuardError, which its caller rewords, pass through."""
     try:
         yield
+    except (_Named, SizeGuardError):
+        raise
+    except (OSError, ValueError) as exc:
+        raise _Named(f"{Path(path_text)}: {exc}") from exc
     except MemoryError:
-        raise ValueError(
-            f"{path_text}: not enough memory for the distances of {graph.vertex_count} vertices"
+        if graph is None:
+            raise
+        raise _Named(
+            f"{Path(path_text)}: not enough memory for the distances of {graph.vertex_count} vertices"
         ) from None
 
 
-def _distances(path_text: str, graph: Graph) -> DistanceMatrix:
-    """apsp(graph); its refusal (fewer than 2 vertices) names the graph file."""
-    try:
-        return apsp(graph)
-    except ValueError as exc:
-        raise ValueError(f"{path_text}: {exc}") from exc
-
-
 def _load_layout(path_text: str, graph: Graph) -> Layout:
-    path = Path(path_text)
-    try:
-        layout = read_layout_csv(path.read_text(encoding="utf-8-sig"))
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    if layout.n != graph.vertex_count:
-        raise ValueError(
-            f"{path}: layout has {layout.n} vertices but the graph (after component"
-            f" extraction) has {graph.vertex_count}; ids must be 0..{graph.vertex_count - 1}"
-        )
+    with _naming(path_text):
+        layout = read_layout_csv(Path(path_text).read_text(encoding="utf-8-sig"))
+        if layout.n != graph.vertex_count:
+            raise ValueError(
+                f"layout has {layout.n} vertices but the graph (after component extraction)"
+                f" has {graph.vertex_count}; ids must be 0..{graph.vertex_count - 1}"
+            )
     return layout
 
 
@@ -181,13 +183,11 @@ def _cmd_compute(args) -> int:
         layouts[name] = (layout_path, _load_layout(layout_path, graph))
 
     report_layouts = {}
-    with _memory_for(args.graph, graph):
-        d = _distances(args.graph, graph)
+    with _naming(args.graph, graph):
+        d = apsp(graph)
         for name, (layout_path, layout) in layouts.items():
-            try:
+            with _naming(layout_path):
                 scored = score_layout(layout, d, metric_ids, kk_params=kk_params, force=args.force)
-            except ValueError as exc:
-                raise ValueError(f"{layout_path}: {exc}") from exc
             report_layouts[name] = {
                 "path": layout_path,
                 "max_drawing_distance": scored.max_distance,
@@ -227,20 +227,19 @@ def _cmd_curve(args) -> int:
         raise _UsageError("curve takes exactly one metric")
     alphas = _parse_alpha_grid(args.alpha_grid)
     kk_params = KKParams(args.l0) if args.l0 is not None else None
-    with _memory_for(args.graph, graph):
-        d = _distances(args.graph, graph)
+    with _naming(args.graph, graph):
+        d = apsp(graph)
         try:
-            points = stress_curve(
-                layout, d, metric_ids[0], alphas, kk_params=kk_params, force=args.force
-            )
+            with _naming(args.layout):
+                points = stress_curve(
+                    layout, d, metric_ids[0], alphas, kk_params=kk_params, force=args.force
+                )
         except SizeGuardError:
             # the graph's size is at fault, and the override is a flag here
             raise ValueError(
-                f"{args.graph}: distance-ratio stress on {graph.vertex_count} vertices is refused"
+                f"distance-ratio stress on {graph.vertex_count} vertices is refused"
                 f" above {DRS_MAX_VERTICES}; pass --force to compute anyway"
             ) from None
-        except ValueError as exc:
-            raise ValueError(f"{args.layout}: {exc}") from exc
     report = {
         "command": "curve",
         "config": {
@@ -289,10 +288,8 @@ def _read_config(path: Path) -> exp.ExperimentConfig:
 def _experiment_config(args) -> exp.ExperimentConfig:
     config = exp.ExperimentConfig()
     if args.config is not None:
-        try:
+        with _naming(args.config):
             config = _read_config(Path(args.config))
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"{args.config}: {exc}") from exc
     if args.seed is not None:
         config = replace(config, corpus=replace(config.corpus, seed=args.seed))
     if args.scale_policy is not None:

@@ -104,9 +104,16 @@ def corpus_graph(n: int, density: float, rng: np.random.Generator) -> Graph:
     The id locality keeps the diameter large (the graphs embed well in
     2D) and makes the deterministic circle layout genuinely intermediate
     between the optimized and random layouts.
+
+    An n whose C(n, 2) one-byte shortest-path levels cannot be allocated is
+    refused before the ring is built, with the line bench reports.
     """
     if n < MIN_CORPUS_VERTICES:
         raise ValueError(f"need at least {MIN_CORPUS_VERTICES} vertices, got {n}")
+    try:
+        np.empty(n * (n - 1) // 2, np.uint8)  # left untouched, so it takes no memory
+    except (MemoryError, ValueError):  # numpy refuses a size beyond its dimension limit
+        raise ValueError(f"not enough memory for the distances of {n} vertices") from None
 
     def chord(span_lo: int, span_hi: int) -> tuple[int, int]:
         u = int(rng.integers(0, n))

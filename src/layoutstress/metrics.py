@@ -422,8 +422,10 @@ def score_layout(
     their pair extraction; compute reports them, and bench
     (experiment.runtime_benchmark) samples them. drs is skipped when
     distance_ratio_stress refuses it (SizeGuardError: too many vertices and
-    force not set).
+    force not set). A metric list that check_metric_ids refuses raises its
+    ValueError before anything is built.
     """
+    metric_ids = check_metric_ids(metric_ids)
     e = _drawing_pairs(layout)
     scores, alpha_min, seconds, skipped = {}, {}, {}, []
     for metric_id in metric_ids:

@@ -346,6 +346,12 @@ class TestBench:
         err = capsys.readouterr().err
         assert err == "input error: not enough memory for the distances of 16 vertices\n"
 
+    def test_size_beyond_memory_is_refused_before_its_graph_is_built(self, capsys):
+        argv = ["bench", "--sizes", "8,1099511627776", "--metrics", "ns", "--reps", "3"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: not enough memory for the distances of 1099511627776 vertices\n"
+
 
 class TestExperimentCommand:
     CONFIG = {"corpus": {"graphs": 4, "n_min": 12, "n_max": 20, "seed": 19}, "optimizer_iterations": 1}
@@ -722,12 +728,29 @@ NO_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
             "l.csv: layout contains non-finite coordinates",
             marks=NO_WARNING,
         ),
+        # a path typed as ./x is named as Path spells it, by each kind of refusal
+        (
+            {"one.txt": b"0 0\n", "one.csv": b"id,x,y\n0,0.0,0.0\n"},
+            ["compute", "./one.txt", "./one.csv"],
+            "input error: one.txt: shortest paths need at least 2 vertices",
+        ),
+        (
+            {"bad.txt": b"0 1\n1 2 3\n", "one.csv": P3_LAYOUT},
+            ["compute", "./bad.txt", "./one.csv"],
+            "input error: bad.txt: line 2",
+        ),
+        (
+            {"g.txt": P3_EDGES, "col.csv": P3_COLLAPSED},
+            ["compute", "./g.txt", "./col.csv", "--metrics", "ns"],
+            "input error: col.csv: all points coincide",
+        ),
     ],
     ids=["malformed_corpus_file", "non_utf8_graph", "non_utf8_layout", "non_utf8_config",
          "unknown_config_metric", "comma_joined_config_metrics", "empty_config_metrics",
          "bench_size_below_8", "truncated_matrix_market", "collapsed_second_layout",
          "collapsed_curve_layout", "overflowing_coordinate", "overflowing_curve_distances",
-         "overflowing_curve_coordinates"],
+         "overflowing_curve_coordinates", "dot_slash_apsp", "dot_slash_parse",
+         "dot_slash_scoring"],
 )
 def test_refusal_names_its_input(tmp_path, monkeypatch, capsys, files, argv, named):
     """Each malformed input ends in exit 2 and one line naming the file or value."""

@@ -77,6 +77,14 @@ class TestCorpus:
         with pytest.raises(ValueError):
             corpus_graph(5, 0.2, np.random.default_rng(0))
 
+    def test_refuses_distances_that_cannot_be_allocated_before_building(self):
+        # the ring alone would fill memory; numpy refuses C(2**40, 2) bytes at once
+        with pytest.raises(ValueError, match="not enough memory for the distances of 1099511627776 vertices"):
+            corpus_graph(2**40, 0.2, np.random.default_rng(0))
+        spec = CorpusSpec(graphs=2, n_min=2**40, n_max=2**40)
+        with pytest.raises(ValueError, match="not enough memory for the distances of 1099511627776 vertices"):
+            generate_corpus(spec)
+
     def test_load_corpus_dir(self, tmp_path):
         rng = np.random.default_rng(1)
         (tmp_path / "b.txt").write_text(serialize_edge_list(corpus_graph(12, 0.1, rng)))

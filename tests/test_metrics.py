@@ -782,6 +782,20 @@ class TestCrossMetricInvariants:
         with pytest.raises(ValueError, match="unknown metric"):
             compute_metric("bogus", p3["e_perfect"], p3["d"])
 
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (("ns", "ns", "sns"), "metric id 'ns' is given more than once"),
+            ((), "empty metric list"),
+            ("ns", "'metric_ids' must be a list of metric ids, got 'ns'"),
+        ],
+        ids=["repeated", "empty", "bare_string"],
+    )
+    def test_score_layout_checks_its_metric_list(self, ids, message):
+        d = apsp(path_graph(20))
+        with pytest.raises(ValueError, match=message):
+            score_layout(random_layout(20, 1), d, ids)
+
 
 class TestStressCurve:
     def test_sns_curve_constant(self, p3):
